@@ -1,14 +1,12 @@
 //! Parameter sweeps that regenerate the quantitative claims of Section III.
 
-use serde::{Deserialize, Serialize};
-
 use crate::analytic::{attack_probability_exact, attack_probability_paper};
 use crate::model::AttackModel;
 use crate::montecarlo::{estimate_resolver_compromise, MonteCarloEstimate};
 use crate::table::{fmt_probability, Table};
 
 /// One point of the attack-probability sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Number of resolvers.
     pub resolvers: usize,

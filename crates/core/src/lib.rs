@@ -74,7 +74,7 @@
 //! Generation is expensive by design; serving need not be. The [`serve`]
 //! module adds the layer between client queries and pool generation:
 //!
-//! * a **sharded TTL cache** of generation reports keyed by
+//! * a **TTL cache** of generation reports keyed by
 //!   `(domain, address family)`, with LRU eviction and negative caching
 //!   of failures ([`PoolCache`]),
 //! * **singleflight coalescing** so a burst of concurrent misses for one
@@ -105,9 +105,9 @@
 //! worker threads, and each worker **owns** its `CachingPoolResolver`
 //! shard — per-shard ownership instead of a shared lock — while a
 //! dedicated thread pumps [`CachingPoolResolver::run_due_refreshes`] off
-//! the query path and a stats thread aggregates per-shard
-//! [`ServeSnapshot`]s ([`CachingPoolResolver::snapshot`], one consistent
-//! reading per tick).
+//! the query path. Statistics are taken on demand: each shard answers
+//! with one consistent [`ServeSnapshot`]
+//! ([`CachingPoolResolver::snapshot`]) and the runtime merges them.
 //!
 //! The layer also exposes an **invariant probe surface** for fault
 //! injection: [`PoolCache::probe`] reports every entry's age and

@@ -1,12 +1,11 @@
-//! The sharded TTL pool cache.
+//! The TTL pool cache.
 //!
 //! [`PoolCache`] stores [`GenerationReport`]s keyed by
 //! `(domain, address family)` so that the expensive distributed generation
-//! runs once per TTL window instead of once per client query. The cache is
-//! split into shards selected by key hash — bounding the scan cost of any
-//! single operation and mirroring how a production deployment would shard
-//! to reduce lock contention — with LRU eviction inside each shard,
-//! **negative caching** of generation failures (a failed fan-out is
+//! runs once per TTL window instead of once per client query. It is one
+//! map under one exact LRU capacity bound — a serving runtime shards by
+//! owning one cache per worker, so the cache itself needs no inner shards
+//! — with **negative caching** of generation failures (a failed fan-out is
 //! remembered briefly instead of being retried by every queued client), and
 //! a **stale window** after expiry during which an entry is still served
 //! while a refresh regenerates it (stale-while-revalidate).
@@ -15,9 +14,7 @@
 //! Every operation takes `now` explicitly, so it composes with the
 //! simulator's virtual time and with any driver's notion of "now".
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use sdoh_dns_wire::{Name, Question, RrType, Ttl};
@@ -96,10 +93,8 @@ impl std::fmt::Display for PoolKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheConfig {
-    /// Total number of entries the cache may hold across all shards.
+    /// Number of entries the cache may hold.
     pub capacity: usize,
-    /// Number of shards the key space is hashed over.
-    pub shards: usize,
     /// Lifetime of a successfully generated pool; doubles as the answer TTL
     /// budget the front end serves from.
     pub ttl: Ttl,
@@ -115,7 +110,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity: 1024,
-            shards: 8,
             ttl: Ttl::from_secs(60),
             stale_window: Duration::from_secs(60),
             negative_ttl: Ttl::from_secs(5),
@@ -127,12 +121,6 @@ impl CacheConfig {
     /// Sets the capacity, returning `self` for chaining.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Sets the shard count, returning `self` for chaining.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -155,18 +143,14 @@ impl CacheConfig {
     }
 
     /// Rejects configurations that would misbehave at runtime: a cache
-    /// with zero shards or zero capacity cannot hold a single entry.
-    /// ([`PoolCache::new`] historically clamps both to 1; validated
-    /// construction through [`ServeConfig::new`](super::ServeConfig::new)
-    /// errors instead.)
+    /// with zero capacity cannot hold a single entry. ([`PoolCache::new`]
+    /// historically clamps it to 1; validated construction through
+    /// [`ServeConfig::new`](super::ServeConfig::new) errors instead.)
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Zero`] naming the first zero field.
+    /// [`ConfigError::Zero`] when the capacity is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.shards == 0 {
-            return Err(ConfigError::Zero("shards"));
-        }
         if self.capacity == 0 {
             return Err(ConfigError::Zero("capacity"));
         }
@@ -202,7 +186,7 @@ pub enum EntryState {
     /// Past its TTL but within the stale window: served while a refresh
     /// regenerates it (successful generations only).
     Stale,
-    /// Past every serving window; lingering until purged or evicted.
+    /// Past every serving window; lingering until looked up or evicted.
     Dead,
 }
 
@@ -257,7 +241,7 @@ pub struct CacheMetrics {
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Entries evicted to make room (LRU within the shard).
+    /// Entries evicted to make room (dead entries first, then LRU).
     pub evictions: u64,
     /// Entries dropped because they were expired beyond use.
     pub expirations: u64,
@@ -309,38 +293,27 @@ impl Entry {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<PoolKey, Entry>,
-}
-
-/// The sharded, LRU-bounded, TTL- and stale-window-aware pool cache.
+/// The LRU-bounded, TTL- and stale-window-aware pool cache.
 ///
 /// See the module documentation for the design.
 #[derive(Debug)]
 pub struct PoolCache {
     config: CacheConfig,
-    shards: Vec<Shard>,
-    /// The clamped total bound; never exceeded.
+    entries: HashMap<PoolKey, Entry>,
+    /// The clamped entry bound; never exceeded.
     capacity: usize,
-    /// Per-shard ceiling bounding the worst-case skew of the key hash.
-    per_shard_capacity: usize,
     tick: u64,
     metrics: CacheMetrics,
 }
 
 impl PoolCache {
-    /// Creates a cache from a configuration (capacity and shard count are
-    /// clamped to at least 1).
-    // sdoh-lint: allow(hot-path-purity, "construction happens once, before serving starts")
+    /// Creates a cache from a configuration (capacity is clamped to at
+    /// least 1).
     pub fn new(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
-        let capacity = config.capacity.max(1);
         PoolCache {
             config,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            capacity,
-            per_shard_capacity: capacity.div_ceil(shards),
+            entries: HashMap::new(),
+            capacity: config.capacity.max(1),
             tick: 0,
             metrics: CacheMetrics::default(),
         }
@@ -351,34 +324,20 @@ impl PoolCache {
         &self.config
     }
 
-    /// Number of entries currently stored across all shards (including
-    /// entries that have expired but not yet been purged).
+    /// Number of entries currently stored (including entries that have
+    /// expired but not yet been dropped).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
+        self.entries.len()
     }
 
-    /// Returns `true` when no shard holds an entry.
+    /// Returns `true` when the cache holds no entry.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards the key space is hashed over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.entries.is_empty()
     }
 
     /// Snapshot of the operational counters.
     pub fn metrics(&self) -> CacheMetrics {
         self.metrics
-    }
-
-    fn shard_index(&self, key: &PoolKey) -> usize {
-        // DefaultHasher with default keys is deterministic within and
-        // across runs, keeping the simulation reproducible from its seed.
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        // sdoh-lint: allow(no-narrowing-cast, "hash truncation only perturbs shard choice; the modulo keeps the index in range")
-        (hasher.finish() as usize) % self.shards.len()
     }
 
     /// Looks up `key` at virtual time `now`.
@@ -387,13 +346,11 @@ impl PoolCache {
     /// stale window is returned as [`CacheLookup::Stale`] (the caller
     /// serves it and schedules a refresh); anything older — and any expired
     /// negative entry — is dropped and reported as a miss.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
     pub fn get(&mut self, key: &PoolKey, now: SimInstant) -> CacheLookup {
         self.tick += 1;
         let tick = self.tick;
         let config = self.config;
-        let shard = self.shard_index(key);
-        let entry = match self.shards[shard].entries.get_mut(key) {
+        let entry = match self.entries.get_mut(key) {
             Some(entry) => entry,
             None => {
                 self.metrics.misses += 1;
@@ -416,7 +373,7 @@ impl PoolCache {
             self.metrics.stale_hits += 1;
             CacheLookup::Stale(cached)
         } else {
-            self.shards[shard].entries.remove(key);
+            self.entries.remove(key);
             self.metrics.expirations += 1;
             self.metrics.misses += 1;
             CacheLookup::Miss
@@ -425,30 +382,27 @@ impl PoolCache {
 
     /// Inspects the entry for `key` without touching LRU state or counters
     /// (diagnostics and tests).
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
     pub fn peek(&self, key: &PoolKey) -> Option<CachedPool> {
-        let shard = self.shard_index(key);
-        self.shards[shard].entries.get(key).map(|entry| CachedPool {
+        self.entries.get(key).map(|entry| CachedPool {
             value: entry.value.clone(),
             generated_at: entry.generated_at,
             expires_at: entry.expires_at,
         })
     }
 
-    /// Probes every entry across all shards at instant `now`, without
-    /// touching LRU state or counters.
+    /// Probes every entry at instant `now`, without touching LRU state or
+    /// counters.
     ///
     /// The result is sorted by key (domain, then family) so that a probe of
-    /// the same cache state is byte-identical across processes — shard maps
-    /// iterate in a process-random order. This is the invariant surface
+    /// the same cache state is byte-identical across processes — the map
+    /// iterates in a process-random order. This is the invariant surface
     /// chaos campaigns monitor after every step.
     // sdoh-lint: allow(hot-path-purity, "probe is the chaos-monitor surface, never the serving path")
     pub fn probe(&self, now: SimInstant) -> Vec<CacheEntryProbe> {
         let config = self.config;
         let mut probes: Vec<CacheEntryProbe> = self
-            .shards
+            .entries
             .iter()
-            .flat_map(|shard| shard.entries.iter())
             .map(|(key, entry)| {
                 let state = if now < entry.expires_at {
                     EntryState::Fresh
@@ -473,7 +427,6 @@ impl PoolCache {
     /// Stores a generation outcome for `key` produced at `now`. Successful
     /// generations live for the configured TTL, failures for the negative
     /// TTL; a zero lifetime skips insertion entirely.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
     pub fn insert(
         &mut self,
         key: PoolKey,
@@ -489,17 +442,10 @@ impl PoolCache {
         }
         self.tick += 1;
         let tick = self.tick;
-        let shard_index = self.shard_index(&key);
-        if !self.shards[shard_index].entries.contains_key(&key) {
-            // The total bound holds exactly; the per-shard ceiling
-            // additionally bounds the worst-case skew of the key hash.
-            if self.len() >= self.capacity {
-                self.evict_one(None, now);
-            } else if self.shards[shard_index].entries.len() >= self.per_shard_capacity {
-                self.evict_one(Some(shard_index), now);
-            }
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            self.evict_one(now);
         }
-        self.shards[shard_index].entries.insert(
+        self.entries.insert(
             key,
             Entry {
                 value,
@@ -511,33 +457,23 @@ impl PoolCache {
         self.metrics.insertions += 1;
     }
 
-    /// Evicts one entry from `scope` (one shard, or the whole cache),
-    /// preferring an entry already past any use over the least recently
-    /// used one.
-    // sdoh-lint: allow(hot-path-purity, "eviction scans run only when the cache is full; amortized cold")
-    // sdoh-lint: allow(no-panic, "scope and victim shards come from 0..shards.len()")
-    fn evict_one(&mut self, scope: Option<usize>, now: SimInstant) {
+    /// Evicts one entry, preferring an entry already past any use over the
+    /// least recently used one.
+    fn evict_one(&mut self, now: SimInstant) {
         let config = self.config;
-        let shards: Vec<usize> = match scope {
-            Some(shard) => vec![shard],
-            None => (0..self.shards.len()).collect(),
-        };
-        let mut dead: Option<(usize, PoolKey)> = None;
-        let mut lru: Option<(u64, usize, PoolKey)> = None;
-        'shards: for &shard in &shards {
-            for (key, entry) in &self.shards[shard].entries {
-                if now >= entry.keep_until(&config) {
-                    dead = Some((shard, key.clone()));
-                    break 'shards;
-                }
-                if lru.as_ref().is_none_or(|(t, _, _)| entry.last_used < *t) {
-                    lru = Some((entry.last_used, shard, key.clone()));
-                }
+        let mut lru: Option<(u64, &PoolKey)> = None;
+        let mut victim = None;
+        for (key, entry) in &self.entries {
+            if now >= entry.keep_until(&config) {
+                victim = Some(key);
+                break;
+            }
+            if lru.is_none_or(|(t, _)| entry.last_used < t) {
+                lru = Some((entry.last_used, key));
             }
         }
-        let victim = dead.or_else(|| lru.map(|(_, shard, key)| (shard, key)));
-        if let Some((shard, key)) = victim {
-            self.shards[shard].entries.remove(&key);
+        if let Some(key) = victim.or(lru.map(|(_, key)| key)).cloned() {
+            self.entries.remove(&key);
             self.metrics.evictions += 1;
         }
     }
@@ -548,17 +484,13 @@ impl PoolCache {
     /// insert (stale serving of old entries is additionally capped by the
     /// new `ttl + stale_window` horizon — see `Entry::keep_until`).
     ///
-    /// The shard count is structural (entries were hashed onto shards at
-    /// insert), so `config.shards` is overridden with the built value.
     /// When the capacity shrank, surplus entries are evicted immediately,
     /// dead entries first.
-    pub fn apply_config(&mut self, mut config: CacheConfig, now: SimInstant) {
-        config.shards = self.shards.len();
+    pub fn apply_config(&mut self, config: CacheConfig, now: SimInstant) {
         self.capacity = config.capacity.max(1);
-        self.per_shard_capacity = self.capacity.div_ceil(self.shards.len());
         self.config = config;
-        while self.len() > self.capacity {
-            self.evict_one(None, now);
+        while self.entries.len() > self.capacity {
+            self.evict_one(now);
         }
     }
 
@@ -572,27 +504,18 @@ impl PoolCache {
         &mut self,
         mut predicate: impl FnMut(&PoolKey) -> bool,
     ) -> Vec<(PoolKey, CachedPool)> {
-        let mut extracted = Vec::new();
-        for shard in &mut self.shards {
-            let keys: Vec<PoolKey> = shard
-                .entries
-                .keys()
-                .filter(|key| predicate(key))
-                .cloned()
-                .collect();
-            for key in keys {
-                if let Some(entry) = shard.entries.remove(&key) {
-                    extracted.push((
-                        key,
-                        CachedPool {
-                            value: entry.value,
-                            generated_at: entry.generated_at,
-                            expires_at: entry.expires_at,
-                        },
-                    ));
-                }
-            }
-        }
+        let mut extracted: Vec<(PoolKey, CachedPool)> = self
+            .entries
+            .extract_if(|key, _| predicate(key))
+            .map(|(key, entry)| {
+                let cached = CachedPool {
+                    value: entry.value,
+                    generated_at: entry.generated_at,
+                    expires_at: entry.expires_at,
+                };
+                (key, cached)
+            })
+            .collect();
         extracted.sort_by_key(|(key, _)| key.to_string());
         extracted
     }
@@ -603,8 +526,7 @@ impl PoolCache {
     /// it is already past every serving window at `now`, or when an
     /// existing entry for the key is at least as fresh — so a key is
     /// never owned by two entries and a handoff never clobbers a newer
-    /// generation. Capacity bounds are enforced exactly as on insert.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
+    /// generation. The capacity bound is enforced exactly as on insert.
     pub fn install(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
         self.tick += 1;
         let entry = Entry {
@@ -616,49 +538,15 @@ impl PoolCache {
         if now >= entry.keep_until(&self.config) {
             return false;
         }
-        let shard_index = self.shard_index(&key);
-        match self.shards[shard_index].entries.get(&key) {
+        match self.entries.get(&key) {
             Some(existing) if existing.expires_at >= entry.expires_at => return false,
             Some(_) => {}
-            None => {
-                if self.len() >= self.capacity {
-                    self.evict_one(None, now);
-                } else if self.shards[shard_index].entries.len() >= self.per_shard_capacity {
-                    self.evict_one(Some(shard_index), now);
-                }
-            }
+            None if self.entries.len() >= self.capacity => self.evict_one(now),
+            None => {}
         }
-        self.shards[shard_index].entries.insert(key, entry);
+        self.entries.insert(key, entry);
         self.metrics.insertions += 1;
         true
-    }
-
-    /// Removes the entry for `key`, returning whether one existed.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn invalidate(&mut self, key: &PoolKey) -> bool {
-        let shard = self.shard_index(key);
-        self.shards[shard].entries.remove(key).is_some()
-    }
-
-    /// Drops every entry that is past its stale window at `now`; returns
-    /// how many were dropped.
-    pub fn purge_expired(&mut self, now: SimInstant) -> usize {
-        let config = self.config;
-        let mut dropped = 0;
-        for shard in &mut self.shards {
-            let before = shard.entries.len();
-            shard.entries.retain(|_, e| now < e.keep_until(&config));
-            dropped += before - shard.entries.len();
-        }
-        self.metrics.expirations += u64::try_from(dropped).unwrap_or(u64::MAX);
-        dropped
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.entries.clear();
-        }
     }
 }
 
@@ -785,8 +673,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_keeps_the_recently_used_entry() {
-        // One shard so the two keys compete for the same capacity.
-        let config = test_config().with_capacity(2).with_shards(1);
+        let config = test_config().with_capacity(2);
         let mut cache = PoolCache::new(config);
         cache.insert(key("a.test"), Ok(report(1)), at(0));
         cache.insert(key("b.test"), Ok(report(2)), at(1));
@@ -801,7 +688,7 @@ mod tests {
 
     #[test]
     fn eviction_prefers_dead_entries_over_lru() {
-        let config = test_config().with_capacity(2).with_shards(1);
+        let config = test_config().with_capacity(2);
         let mut cache = PoolCache::new(config);
         // `live` carries the oldest LRU stamp, but `old` (inserted at t=0)
         // is past TTL + stale window by t=120: eviction must pick the dead
@@ -820,7 +707,7 @@ mod tests {
         // A negative entry has no stale window: once past its (short) TTL
         // it is unusable and must be evicted before any live entry, even
         // though the dead-check for positive entries uses TTL + stale.
-        let config = test_config().with_capacity(2).with_shards(1);
+        let config = test_config().with_capacity(2);
         let mut cache = PoolCache::new(config);
         cache.insert(key("dead.test"), Err("boom".into()), at(0)); // unusable after t=5
         cache.insert(key("live.test"), Ok(report(1)), at(6));
@@ -831,10 +718,8 @@ mod tests {
     }
 
     #[test]
-    fn total_capacity_is_an_exact_bound_across_shards() {
-        // div_ceil(10, 8) = 2 per shard would allow up to 16 entries; the
-        // documented total bound must still hold exactly.
-        let config = test_config().with_capacity(10).with_shards(8);
+    fn total_capacity_is_an_exact_bound() {
+        let config = test_config().with_capacity(10);
         let mut cache = PoolCache::new(config);
         for i in 0..50 {
             cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
@@ -849,41 +734,22 @@ mod tests {
     }
 
     #[test]
-    fn sharding_distributes_and_len_aggregates() {
-        let config = test_config().with_capacity(64).with_shards(4);
-        let mut cache = PoolCache::new(config);
-        for i in 0..32 {
+    fn every_slot_is_usable_before_the_first_eviction() {
+        // Capacity is one bound over one map: 16 distinct keys fit in a
+        // 16-entry cache whatever their hashes.
+        let mut cache = PoolCache::new(CacheConfig::default().with_capacity(16));
+        for i in 0..16 {
             cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
         }
-        assert_eq!(cache.len(), 32);
-        assert_eq!(cache.shard_count(), 4);
-        let populated = (0..4)
-            .filter(|&s| !cache.shards[s].entries.is_empty())
-            .count();
-        assert!(populated > 1, "keys spread over more than one shard");
-        assert_eq!(cache.purge_expired(at(1_000)), 32);
-        assert!(cache.is_empty());
+        assert_eq!(cache.metrics().evictions, 0);
+        assert_eq!(cache.len(), 16);
     }
 
     #[test]
-    fn zero_capacity_and_shards_are_clamped() {
-        let config = test_config().with_capacity(0).with_shards(0);
-        let mut cache = PoolCache::new(config);
+    fn zero_capacity_is_clamped() {
+        let mut cache = PoolCache::new(test_config().with_capacity(0));
         cache.insert(key("a.test"), Ok(report(1)), at(0));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.shard_count(), 1);
-    }
-
-    #[test]
-    fn invalidate_and_clear() {
-        let mut cache = PoolCache::new(test_config());
-        cache.insert(key("a.test"), Ok(report(1)), at(0));
-        assert!(cache.peek(&key("a.test")).is_some());
-        assert!(cache.invalidate(&key("a.test")));
-        assert!(!cache.invalidate(&key("a.test")));
-        cache.insert(key("b.test"), Ok(report(2)), at(0));
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -916,20 +782,16 @@ mod tests {
             CacheLookup::Stale(_) => {}
             other => panic!("stale under the widened window, got {other:?}"),
         }
-        // Shards are structural: the override never changes the count.
-        cache.apply_config(test_config().with_shards(99), at(10));
-        assert_eq!(cache.shard_count(), 8);
-        assert_eq!(cache.config().shards, 8);
     }
 
     #[test]
     fn apply_config_shrinking_capacity_evicts_immediately() {
-        let config = test_config().with_capacity(8).with_shards(1);
+        let config = test_config().with_capacity(8);
         let mut cache = PoolCache::new(config);
         for i in 0..8 {
             cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
         }
-        cache.apply_config(test_config().with_capacity(3).with_shards(1), at(1));
+        cache.apply_config(test_config().with_capacity(3), at(1));
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.metrics().evictions, 5);
         // And the new bound holds for subsequent inserts.
@@ -1008,10 +870,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_structural_knobs() {
-        assert_eq!(
-            test_config().with_shards(0).validate(),
-            Err(ConfigError::Zero("shards"))
-        );
         assert_eq!(
             test_config().with_capacity(0).validate(),
             Err(ConfigError::Zero("capacity"))

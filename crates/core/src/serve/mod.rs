@@ -6,9 +6,9 @@
 //! cost for **every client query**. This module adds the serving layer that
 //! makes the mechanism scale to heavy client traffic:
 //!
-//! * [`PoolCache`] — a **sharded TTL cache** of [`GenerationReport`]s keyed
-//!   by `(domain, address family)`, with LRU eviction inside capacity
-//!   bounds, negative caching of generation failures and a stale window,
+//! * [`PoolCache`] — a **TTL cache** of [`GenerationReport`]s keyed by
+//!   `(domain, address family)`, with LRU eviction inside one capacity
+//!   bound, negative caching of generation failures and a stale window,
 //! * [`Singleflight`] — **coalescing** so concurrent misses for the same
 //!   key share one in-flight generation instead of each launching its own
 //!   fan-out,

@@ -3,7 +3,7 @@
 //! [`SecurePoolResolver`](crate::SecurePoolResolver) runs a full
 //! distributed generation for **every** client query, so serving cost
 //! scales linearly with client traffic. `CachingPoolResolver` puts the
-//! serving subsystem in between: queries are answered from the sharded
+//! serving subsystem in between: queries are answered from the
 //! [`PoolCache`], cold bursts are coalesced so concurrent misses for one
 //! domain share a single fan-out ([`CachingPoolResolver::serve_batch`]),
 //! and expired entries within the stale window are served immediately while
@@ -115,7 +115,7 @@ impl ServeMetrics {
 /// counted in one field but not yet in another — the invariants between the
 /// counters (e.g. `serve.hits == cache.hits` for a resolver that only ever
 /// went through `handle_query`) hold within a snapshot. This is what a
-/// runtime's stats thread should take once per tick instead of reading the
+/// runtime should take per statistics request instead of reading the
 /// metrics field by field across several calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSnapshot {
@@ -345,8 +345,8 @@ impl CachingPoolResolver {
     /// Takes one cheap, **consistent** reading of every serving counter:
     /// the serve metrics, the cache metrics, the entry count and the
     /// pending-refresh count, all under a single borrow. See
-    /// [`ServeSnapshot`] for why a stats thread should prefer this over
-    /// field-by-field reads.
+    /// [`ServeSnapshot`] for why a statistics reader should prefer this
+    /// over field-by-field reads.
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
             serve: self.metrics,

@@ -78,7 +78,7 @@ pub const SERVE_COUNTER_HELP: &[(&str, &str)] = &[
     ("sdoh_cache_insertions_total", "Cache entries inserted."),
     (
         "sdoh_cache_evictions_total",
-        "Cache entries evicted to make room (LRU within the shard).",
+        "Cache entries evicted to make room (dead entries first, then LRU).",
     ),
     (
         "sdoh_cache_expirations_total",

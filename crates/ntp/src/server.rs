@@ -3,13 +3,12 @@
 use std::time::Duration;
 
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr, SimClock, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::packet::{NtpMode, NtpPacket};
 use crate::timestamp::NtpTimestamp;
 
 /// Behaviour of a simulated NTP server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NtpServerConfig {
     /// Constant offset the server adds to true time. Zero for a benign
     /// server; a large value for an attacker trying to shift clients.

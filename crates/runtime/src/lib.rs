@@ -13,10 +13,9 @@
 //!   `(domain, address family)` hash to one of N worker threads, each of
 //!   which **owns** its [`CachingPoolResolver`](sdoh_core::CachingPoolResolver)
 //!   shard outright (no shared lock on the serving path), pumps background
-//!   refreshes from a
-//!   dedicated thread, aggregates per-shard
-//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into periodic
-//!   [`RuntimeStats`], and shuts down gracefully.
+//!   refreshes from a dedicated thread, merges per-shard
+//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into [`RuntimeStats`] on
+//!   demand, and shuts down gracefully.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
 //!   terminators via [`PayloadService`]) reached through `Send`
 //!   [`BackendExchanger`]s, so a complete serving stack runs end-to-end
@@ -38,7 +37,9 @@
 //! runs), and a scrape-time collector pulls fresh
 //! [`ServeSnapshot`](sdoh_core::ServeSnapshot)s from the workers and
 //! exports them through the shared vocabulary in
-//! [`sdoh_core::snapshot_samples`].
+//! [`sdoh_core::snapshot_samples`]. There is no periodic stats thread:
+//! the collector, [`PoolRuntime::stats`] and `/healthz` each take the
+//! same on-demand snapshot-and-merge reading.
 //!
 //! Set [`RuntimeConfig::stats_bind`] to bind the HTTP stats listener:
 //! `/metrics` serves the Prometheus text exposition, `/metrics.json` the

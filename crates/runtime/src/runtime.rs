@@ -12,8 +12,9 @@
 //!         ┌──────────┼─────────────┐
 //!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐     ┌───────────┐
 //!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── │ refresh   │ (Pump tick)
-//!   │ resolver │ │ resolver │ │ resolver │ ◄── │ stats     │ (Snapshot tick)
-//!   └──────────┘ └──────────┘ └──────────┘     └───────────┘
+//!   │ resolver │ │ resolver │ │ resolver │     └───────────┘
+//!   └──────────┘ └──────────┘ └──────────┘ ◄── stats() / scrape / healthz
+//!                                               (Snapshot on demand)
 //! ```
 //!
 //! Each worker thread **owns** one [`CachingPoolResolver`] shard and one
@@ -22,8 +23,9 @@
 //! always lands on the same shard and singleflight coalescing keeps
 //! working per shard. A dedicated refresh thread ticks the workers to pump
 //! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) off the
-//! query path, and a stats thread aggregates per-shard
-//! [`ServeSnapshot`]s into a periodic [`RuntimeStats`].
+//! query path. Statistics are taken on demand: [`PoolRuntime::stats`], a
+//! `/metrics` scrape and `/healthz` each ask every shard for a
+//! [`ServeSnapshot`] over its work queue and merge the answers.
 //!
 //! Responses that exceed the configured UDP payload limit are answered
 //! with an empty TC=1 message; clients retry over the TCP listener bound
@@ -64,6 +66,10 @@ const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 /// has to answer promptly even when a worker is stuck in a generation.
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// How many ephemeral UDP ports [`PoolRuntime::start`] tries before giving
+/// up on finding one whose TCP twin is free too.
+const PORT_PAIR_ATTEMPTS: usize = 8;
+
 /// Configuration of a [`PoolRuntime`].
 ///
 /// Non-exhaustive: build it from [`RuntimeConfig::default`] with the
@@ -75,17 +81,14 @@ const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 #[non_exhaustive]
 pub struct RuntimeConfig {
     /// Address to bind the UDP socket (and the TCP listener) on. Port 0
-    /// picks an ephemeral port; read it back from
-    /// [`PoolRuntime::udp_addr`].
+    /// picks an ephemeral port whose TCP twin is free too; read it back
+    /// from [`PoolRuntime::udp_addr`].
     pub bind: SocketAddr,
     /// How often the refresh thread ticks the workers to pump due
     /// background refreshes. `Duration::ZERO` disables the refresh pump
     /// entirely — then [`PoolRuntime::start`] rejects shards configured
     /// with a stale window, which would queue refreshes nothing ever runs.
     pub refresh_interval: Duration,
-    /// How often the stats thread aggregates per-shard snapshots into
-    /// [`PoolRuntime::latest_stats`].
-    pub stats_interval: Duration,
     /// Largest UDP response payload served without truncation. Larger
     /// answers are replaced by an empty TC=1 response so the client
     /// retries over TCP.
@@ -110,7 +113,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
             refresh_interval: Duration::from_millis(50),
-            stats_interval: Duration::from_millis(500),
             udp_payload_limit: 1232,
             poll_interval: Duration::from_millis(5),
             enable_tcp: true,
@@ -130,12 +132,6 @@ impl RuntimeConfig {
     /// Sets the refresh-pump interval (`Duration::ZERO` disables it).
     pub fn with_refresh_interval(mut self, interval: Duration) -> Self {
         self.refresh_interval = interval;
-        self
-    }
-
-    /// Sets the periodic stats-aggregation interval (must be non-zero).
-    pub fn with_stats_interval(mut self, interval: Duration) -> Self {
-        self.stats_interval = interval;
         self
     }
 
@@ -169,17 +165,14 @@ impl RuntimeConfig {
         self
     }
 
-    /// Validates the runtime knobs: the stats and poll intervals drive
-    /// tick loops and must be non-zero, and a zero payload limit would
+    /// Validates the runtime knobs: the poll interval drives the tick and
+    /// accept loops and must be non-zero, and a zero payload limit would
     /// truncate every answer.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Zero`] naming the offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.stats_interval.is_zero() {
-            return Err(ConfigError::Zero("stats_interval"));
-        }
         if self.poll_interval.is_zero() {
             return Err(ConfigError::Zero("poll_interval"));
         }
@@ -274,63 +267,6 @@ impl RuntimeStats {
     pub fn unresponsive_shards(&self) -> usize {
         self.per_shard.iter().filter(|s| s.is_none()).count()
     }
-
-    /// Renders the stats as a JSON document (stable hand-rolled schema:
-    /// `total`, `per_shard` with `null` for unresponsive shards, and the
-    /// front-door counters).
-    // sdoh-lint: allow(hot-path-purity, "stats rendering runs at scrape cadence, not per query")
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"taken_at_seconds\": {}, \"udp_queries\": {}, \"tcp_queries\": {}, \
-             \"truncated_responses\": {}, \"dropped_queries\": {}, \"config_epoch\": {}, \
-             \"unresponsive_shards\": {}, \"total\": {}, \
-             \"per_shard\": [",
-            self.taken_at.as_nanos() as f64 / 1e9,
-            self.udp_queries,
-            self.tcp_queries,
-            self.truncated_responses,
-            self.dropped_queries,
-            self.config_epoch,
-            self.unresponsive_shards(),
-            snapshot_json(&self.total),
-        ));
-        for (index, shard) in self.per_shard.iter().enumerate() {
-            if index > 0 {
-                out.push_str(", ");
-            }
-            match shard {
-                Some(snapshot) => out.push_str(&snapshot_json(snapshot)),
-                None => out.push_str("null"),
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// One [`ServeSnapshot`] as a JSON object (helper of
-/// [`RuntimeStats::to_json`]).
-// sdoh-lint: allow(hot-path-purity, "stats rendering runs at scrape cadence, not per query")
-fn snapshot_json(snapshot: &ServeSnapshot) -> String {
-    format!(
-        "{{\"queries\": {}, \"hits\": {}, \"stale_serves\": {}, \"negative_hits\": {}, \
-         \"misses\": {}, \"coalesced_waiters\": {}, \"generations\": {}, \
-         \"generation_failures\": {}, \"refreshes\": {}, \"hit_ratio\": {:.6}, \
-         \"cache_entries\": {}, \"pending_refreshes\": {}}}",
-        snapshot.serve.queries,
-        snapshot.serve.hits,
-        snapshot.serve.stale_serves,
-        snapshot.serve.negative_hits,
-        snapshot.serve.misses,
-        snapshot.serve.coalesced_waiters,
-        snapshot.serve.generations,
-        snapshot.serve.generation_failures,
-        snapshot.serve.refreshes,
-        snapshot.serve.hit_ratio(),
-        snapshot.entries,
-        snapshot.pending_refreshes,
-    )
 }
 
 impl std::fmt::Display for RuntimeStats {
@@ -492,20 +428,24 @@ pub struct PoolRuntime {
     service_handles: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
-    latest: Arc<Mutex<Option<RuntimeStats>>>,
     clock: crate::clock::RuntimeClock,
     registry: Registry,
     stats_server: Option<StatsServer>,
 }
 
 impl PoolRuntime {
-    /// Binds the sockets and spawns the worker, dispatcher, TCP, refresh
-    /// and stats threads. One worker thread per entry of `shards`.
+    /// Binds the sockets and spawns the worker, dispatcher, TCP and
+    /// refresh threads (and the stats listener when
+    /// [`RuntimeConfig::stats_bind`] is set). One worker thread per entry
+    /// of `shards`. With port 0 in [`RuntimeConfig::bind`], a UDP port
+    /// whose TCP twin is taken by another socket is swapped for a fresh
+    /// one, a few times at most.
     ///
     /// # Errors
     ///
-    /// Propagates socket binding/configuration failures. `shards` must be
-    /// non-empty, [`RuntimeConfig::validate`] must pass, and a disabled
+    /// Propagates socket binding/configuration failures, including
+    /// `AddrInUse` for an explicit port whose TCP twin is taken. `shards`
+    /// must be non-empty, [`RuntimeConfig::validate`] must pass, and a disabled
     /// refresh pump ([`RuntimeConfig::refresh_interval`] zero) rejects
     /// shards configured with a stale window — they would queue
     /// background refreshes nothing ever runs.
@@ -535,23 +475,22 @@ impl PoolRuntime {
                 reason: "a stale window is configured but the refresh pump is disabled".into(),
             }));
         }
-        let udp = Arc::new(UdpSocket::bind(config.bind)?);
+        let (udp, tcp) = bind_do53_pair(
+            UdpSocket::bind(config.bind)?,
+            config.bind,
+            config.enable_tcp,
+        )?;
+        let udp = Arc::new(udp);
         udp.set_read_timeout(Some(config.poll_interval))?;
         let udp_addr = udp.local_addr()?;
-        let tcp = if config.enable_tcp {
-            // Same address, same port number, TCP — the classic Do53 pair.
-            let listener = TcpListener::bind(udp_addr)?;
+        if let Some(listener) = &tcp {
             listener.set_nonblocking(true)?;
-            Some(listener)
-        } else {
-            None
-        };
+        }
         let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Registry::new();
         let counters = Arc::new(FrontCounters::register(&registry));
-        let latest: Arc<Mutex<Option<RuntimeStats>>> = Arc::new(Mutex::new(None));
         let clock = crate::clock::RuntimeClock::new();
 
         let initial = Arc::new(ServeConfig::initial(first_cache_config));
@@ -593,12 +532,8 @@ impl PoolRuntime {
                     let table = routes.table.lock();
                     (table.senders.clone(), table.acked.clone())
                 };
-                let per_shard = take_shard_snapshots(&senders, SNAPSHOT_TIMEOUT);
+                let (per_shard, total) = take_shard_snapshots(&senders, SNAPSHOT_TIMEOUT);
                 let unresponsive = per_shard.iter().filter(|s| s.is_none()).count();
-                let mut total = ServeSnapshot::default();
-                for snapshot in per_shard.iter().flatten() {
-                    total.absorb(snapshot);
-                }
                 let gauge =
                     |(name, help): (&str, &str), labels: Vec<(String, String)>, v: f64| Sample {
                         name: name.to_string(),
@@ -654,8 +589,8 @@ impl PoolRuntime {
             None => None,
         };
 
-        // Dispatcher + TCP + refresh + stats: at most four service threads.
-        let mut service_handles = Vec::with_capacity(4);
+        // Dispatcher + TCP + refresh: at most three service threads.
+        let mut service_handles = Vec::with_capacity(3);
         {
             let socket = Arc::clone(&udp);
             let routes = Arc::clone(&routes);
@@ -695,31 +630,6 @@ impl PoolRuntime {
                     })?,
             );
         }
-        {
-            let routes = Arc::clone(&routes);
-            let stop = Arc::clone(&stop);
-            let interval = config.stats_interval;
-            let poll = config.poll_interval;
-            let latest = Arc::clone(&latest);
-            let counters = Arc::clone(&counters);
-            let epoch = Arc::clone(&control.inner.epoch);
-            service_handles.push(
-                std::thread::Builder::new()
-                    .name("sdoh-stats".into())
-                    .spawn(move || {
-                        tick_loop(stop, interval, poll, move || {
-                            let stats = take_stats(
-                                &routes,
-                                &counters,
-                                epoch.load(Ordering::Acquire),
-                                clock.now(),
-                            );
-                            *latest.lock() = Some(stats); // sdoh-lint: allow(hot-path-purity, "stats-thread tick, scrape cadence")
-                        })
-                    })?,
-            );
-        }
-
         Ok(PoolRuntime {
             udp_addr,
             tcp_addr,
@@ -727,7 +637,6 @@ impl PoolRuntime {
             service_handles,
             stop,
             counters,
-            latest,
             clock,
             registry,
             stats_server,
@@ -771,22 +680,10 @@ impl PoolRuntime {
         self.control.clone()
     }
 
-    /// The most recent **periodic** aggregate cached by the stats thread
-    /// (`None` until the first tick).
-    #[deprecated(
-        note = "use `PoolRuntime::stats` for an on-demand aggregate; the periodic \
-                         cache mainly feeds dashboards that tolerate stats_interval staleness"
-    )]
-    pub fn latest_stats(&self) -> Option<RuntimeStats> {
-        self.latest.lock().clone() // sdoh-lint: allow(hot-path-purity, "operator accessor, never on the query path")
-    }
-
     /// **The** statistics accessor: takes an on-demand aggregate right
     /// now, asking every shard for a [`ServeSnapshot`] and merging them.
     /// Each shard's snapshot is internally consistent; shards are sampled
-    /// at slightly different instants (they answer between queries). For
-    /// the cheaper periodic reading the stats thread already took, see
-    /// the deprecated [`PoolRuntime::latest_stats`].
+    /// at slightly different instants (they answer between queries).
     pub fn stats(&self) -> RuntimeStats {
         take_stats(
             &self.control.inner.routes,
@@ -875,14 +772,49 @@ fn tick_loop(stop: Arc<AtomicBool>, interval: Duration, poll: Duration, mut tick
     }
 }
 
-/// Asks every shard for a snapshot over its work queue. Shards that do
-/// not answer within `timeout` — wedged in a generation, or already shut
-/// down — come back as `None`, never as silently-zero defaults.
+/// Pairs `udp` with a TCP listener on the same address and port number
+/// (the classic Do53 pair) when `tcp` is set. With port 0 in `bind` the
+/// UDP port came from the kernel, and an unrelated TCP socket may already
+/// hold that number: then a fresh UDP port is bound and the pair retried,
+/// up to [`PORT_PAIR_ATTEMPTS`] ports in all. An explicit port's
+/// `AddrInUse` is returned as is.
+fn bind_do53_pair(
+    mut udp: UdpSocket,
+    bind: SocketAddr,
+    tcp: bool,
+) -> std::io::Result<(UdpSocket, Option<TcpListener>)> {
+    if !tcp {
+        return Ok((udp, None));
+    }
+    let mut attempts = 1;
+    loop {
+        match TcpListener::bind(udp.local_addr()?) {
+            Ok(listener) => return Ok((udp, Some(listener))),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::AddrInUse
+                    && bind.port() == 0
+                    && attempts < PORT_PAIR_ATTEMPTS =>
+            {
+                attempts += 1;
+                // The old socket still holds its port while the new one
+                // binds, so the kernel cannot hand the same number back.
+                udp = UdpSocket::bind(bind)?;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Asks every shard for a snapshot over its work queue and merges the
+/// answers into one aggregate — the one reading behind `stats()`,
+/// `/metrics` and `/healthz`. Shards that do not answer within `timeout`
+/// — wedged in a generation, or already shut down — come back as `None`
+/// and are left out of the aggregate, never folded in as silent zeros.
 // sdoh-lint: allow(hot-path-purity, "snapshot fan-out buffers; runs at scrape/health cadence")
 fn take_shard_snapshots(
     workers: &[mpsc::Sender<WorkItem>],
     timeout: Duration,
-) -> Vec<Option<ServeSnapshot>> {
+) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
     let (tx, rx) = mpsc::channel();
     let mut requested = 0;
     for sender in workers {
@@ -904,7 +836,11 @@ fn take_shard_snapshots(
             Err(_) => break,
         }
     }
-    per_shard
+    let mut total = ServeSnapshot::default();
+    for snapshot in per_shard.iter().flatten() {
+        total.absorb(snapshot);
+    }
+    (per_shard, total)
 }
 
 fn take_stats(
@@ -913,11 +849,7 @@ fn take_stats(
     config_epoch: u64,
     taken_at: SimInstant,
 ) -> RuntimeStats {
-    let per_shard = take_shard_snapshots(&routes.senders(), SNAPSHOT_TIMEOUT);
-    let mut total = ServeSnapshot::default();
-    for snapshot in per_shard.iter().flatten() {
-        total.absorb(snapshot);
-    }
+    let (per_shard, total) = take_shard_snapshots(&routes.senders(), SNAPSHOT_TIMEOUT);
     RuntimeStats {
         per_shard,
         total,
@@ -937,12 +869,8 @@ fn take_stats(
 /// failures rather than fresh secure generations.
 // sdoh-lint: allow(hot-path-purity, "health probe renders at probe cadence, not per query")
 fn healthz(routes: &RouteState) -> HttpResponse {
-    let per_shard = take_shard_snapshots(&routes.senders(), HEALTH_TIMEOUT);
+    let (per_shard, total) = take_shard_snapshots(&routes.senders(), HEALTH_TIMEOUT);
     let unresponsive = per_shard.iter().filter(|s| s.is_none()).count();
-    let mut total = ServeSnapshot::default();
-    for snapshot in per_shard.iter().flatten() {
-        total.absorb(snapshot);
-    }
     let ready = unresponsive == 0;
     let body = format!(
         "{}\nshards {}\nunresponsive_shards {}\ncache_entries {}\npending_refreshes {}\n\
@@ -1367,6 +1295,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn port_pair_retries_an_ephemeral_port_whose_tcp_twin_is_taken() {
+        let any = SocketAddr::from(([127, 0, 0, 1], 0));
+        // A UDP socket on a port number some TCP socket already holds:
+        // what the kernel may hand out for port 0.
+        let (held, taken) = (0..16)
+            .find_map(|_| {
+                let held = TcpListener::bind(any).ok()?;
+                let taken = UdpSocket::bind(held.local_addr().ok()?).ok()?;
+                Some((held, taken))
+            })
+            .expect("a UDP socket on a held TCP port number");
+        let held_port = held.local_addr().unwrap().port();
+
+        let (udp, tcp) = bind_do53_pair(taken.try_clone().unwrap(), any, true).unwrap();
+        let udp_port = udp.local_addr().unwrap().port();
+        assert_ne!(udp_port, held_port, "the taken port was swapped");
+        assert_eq!(tcp.unwrap().local_addr().unwrap().port(), udp_port);
+
+        // An explicit port is the operator's choice: no retry.
+        let explicit = SocketAddr::from(([127, 0, 0, 1], held_port));
+        let err = bind_do53_pair(taken, explicit, true).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
     }
 
     #[test]

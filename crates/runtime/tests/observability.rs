@@ -2,14 +2,17 @@
 //! runtime exports `/metrics`, `/metrics.json` and `/healthz` from its
 //! stats listener; exported counters reconcile exactly with the queries a
 //! real UDP client sent; cross-shard histogram merge and percentile
-//! extraction behave; and the registry lints clean — every public counter
+//! extraction behave; `/healthz` reports a shard wedged in a generation
+//! without waiting for it; and the registry lints clean — every public counter
 //! ships a help string (this test backs the CI counter-help lint).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sdoh_core::{CacheConfig, PoolConfig};
 use sdoh_dns_wire::{Message, RrType, Ttl};
-use sdoh_metrics::{http_get, parse_prometheus, HistogramSnapshot, Sample, SampleValue};
+use sdoh_metrics::{
+    http_get, parse_prometheus, render_json, HistogramSnapshot, Sample, SampleValue,
+};
 use sdoh_runtime::{
     LoopbackConfig, LoopbackFleet, PoolRuntime, RuntimeClient, RuntimeConfig, Shard,
 };
@@ -178,6 +181,8 @@ fn runtime_stats_render_as_text_and_json() {
             .query(&Message::query(i as u16 + 1, domain.clone(), RrType::A))
             .expect("query answered");
     }
+    // JSON is the registry's rendering, the body `/metrics.json` serves.
+    let samples = runtime.registry().gather();
     let stats = runtime.shutdown();
 
     let text = stats.to_string();
@@ -186,9 +191,61 @@ fn runtime_stats_render_as_text_and_json() {
     assert!(text.contains("shard 0:"));
     assert!(!text.contains("unresponsive (snapshot timed out)"));
 
-    let json = stats.to_json();
-    assert!(json.contains(&format!("\"udp_queries\": {}", stats.udp_queries)));
-    assert!(json.contains("\"unresponsive_shards\": 0"));
-    assert!(json.contains("\"per_shard\": ["));
-    assert!(!json.contains("null"), "all shards answered: {json}");
+    assert_eq!(
+        counter(&samples, "sdoh_udp_queries_total"),
+        stats.udp_queries
+    );
+    let json = render_json(&samples);
+    assert!(json.contains("\"sdoh_unresponsive_shards\""), "{json}");
+    assert!(json.contains(&format!("\"value\": {}", stats.udp_queries)));
+}
+
+#[test]
+fn healthz_reports_a_shard_wedged_in_a_generation() {
+    // Every upstream exchange takes 2 s, so one cold query keeps its
+    // shard busy in an inline generation for that long.
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        upstream_latency: Duration::from_secs(2),
+        ..LoopbackConfig::default()
+    });
+    let shards = fleet
+        .shards(2, PoolConfig::algorithm1(), CacheConfig::default())
+        .expect("valid config");
+    let runtime = PoolRuntime::start(stats_config(), shards).expect("bind loopback");
+    let stats_addr = runtime.stats_addr().expect("stats listener bound");
+    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr())
+        .and_then(|client| client.with_timeout(Duration::from_secs(10)))
+        .expect("client");
+    let domain = fleet.domains[0].clone();
+    let cold = std::thread::spawn(move || client.query(&Message::query(1, domain, RrType::A)));
+    std::thread::sleep(Duration::from_millis(200));
+
+    // The wedged shard misses the 1 s health deadline; the probe still
+    // answers promptly, and the merged reading leaves that shard out.
+    let asked = Instant::now();
+    let health = http_get(stats_addr, "/healthz", Duration::from_secs(5)).expect("healthz");
+    let waited = asked.elapsed();
+    assert_eq!(health.status, 503, "body: {}", health.body);
+    assert!(health.body.starts_with("unready\n"), "{}", health.body);
+    assert!(health.body.contains("shards 2\n"), "{}", health.body);
+    assert!(
+        health.body.contains("unresponsive_shards 1\n"),
+        "{}",
+        health.body
+    );
+    assert!(
+        waited < Duration::from_millis(1500),
+        "probe took {waited:?}"
+    );
+
+    // Once the generation finishes, every shard answers again.
+    let response = cold
+        .join()
+        .expect("query thread")
+        .expect("cold query answered");
+    assert!(!response.answer_addresses().is_empty());
+    let health = http_get(stats_addr, "/healthz", Duration::from_secs(5)).expect("healthz");
+    assert_eq!(health.status, 200, "body: {}", health.body);
+    assert!(health.body.contains("unresponsive_shards 0\n"));
+    assert_eq!(runtime.shutdown().unresponsive_shards(), 0);
 }
