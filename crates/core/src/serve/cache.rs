@@ -247,19 +247,6 @@ pub struct CacheMetrics {
     pub expirations: u64,
 }
 
-impl CacheMetrics {
-    /// Adds `other`'s counters into `self` — aggregating the caches of
-    /// several serving shards into one fleet-wide view.
-    pub fn absorb(&mut self, other: &CacheMetrics) {
-        self.hits += other.hits;
-        self.stale_hits += other.stale_hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.expirations += other.expirations;
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     value: Result<GenerationReport, String>,

@@ -147,11 +147,14 @@ mod tests {
 
     #[test]
     fn invalid_variant_displays_reason() {
+        // What a control plane returns for a pool config that fails its
+        // own validation.
+        let pool = crate::PoolConfig::algorithm1().with_min_responses(0);
         let err = ConfigError::Invalid {
-            field: "refresh_interval",
-            reason: "stale window configured but the refresh pump is disabled".into(),
+            field: "pool",
+            reason: pool.validate().unwrap_err().to_string(),
         };
-        assert!(err.to_string().contains("refresh_interval"));
-        assert!(err.to_string().contains("stale window"));
+        assert!(err.to_string().contains("`pool`"));
+        assert!(err.to_string().contains("min_responses"));
     }
 }

@@ -83,29 +83,6 @@ impl ServeMetrics {
         }
         (self.hits + self.stale_serves + self.negative_hits) as f64 / self.queries as f64
     }
-
-    /// Adds `other`'s counters into `self` — aggregating the metrics of
-    /// several serving shards into one fleet-wide view. Counters and the
-    /// total latency sum; `last_generation_latency` keeps the largest value
-    /// (the slowest shard's most recent batch).
-    pub fn absorb(&mut self, other: &ServeMetrics) {
-        self.queries += other.queries;
-        self.rejected += other.rejected;
-        self.hits += other.hits;
-        self.stale_serves += other.stale_serves;
-        self.negative_hits += other.negative_hits;
-        self.misses += other.misses;
-        self.coalesced_waiters += other.coalesced_waiters;
-        self.generations += other.generations;
-        self.generation_failures += other.generation_failures;
-        self.refreshes += other.refreshes;
-        self.source_answers += other.source_answers;
-        self.source_failures += other.source_failures;
-        self.last_generation_latency = self
-            .last_generation_latency
-            .max(other.last_generation_latency);
-        self.total_generation_latency += other.total_generation_latency;
-    }
 }
 
 /// One **consistent** observation of a [`CachingPoolResolver`]'s state,
@@ -129,12 +106,81 @@ pub struct ServeSnapshot {
     pub pending_refreshes: usize,
 }
 
+/// Names of [`ServeSnapshot::counters`], in order, as
+/// [`ServeSnapshot::regressions`] reports them.
+const COUNTER_NAMES: [&str; ServeSnapshot::COUNTERS] = [
+    "serve.queries",
+    "serve.rejected",
+    "serve.hits",
+    "serve.stale_serves",
+    "serve.negative_hits",
+    "serve.misses",
+    "serve.coalesced_waiters",
+    "serve.generations",
+    "serve.generation_failures",
+    "serve.refreshes",
+    "serve.source_answers",
+    "serve.source_failures",
+    "cache.hits",
+    "cache.stale_hits",
+    "cache.misses",
+    "cache.insertions",
+    "cache.evictions",
+    "cache.expirations",
+];
+
 impl ServeSnapshot {
+    /// How many cumulative counters [`ServeSnapshot::counters`] holds.
+    pub const COUNTERS: usize = 18;
+
+    /// Every cumulative counter, in export order: the twelve
+    /// [`ServeMetrics`] counters, then the six [`CacheMetrics`] counters.
+    /// The gauges (`entries`, `pending_refreshes`) and the two generation
+    /// latencies are not counters and are left out.
+    pub fn counters(&self) -> [u64; Self::COUNTERS] {
+        let mut copy = *self;
+        copy.counters_mut().map(|counter| *counter)
+    }
+
+    /// The fields behind [`ServeSnapshot::counters`], in the same order —
+    /// the one place that lists them.
+    pub fn counters_mut(&mut self) -> [&mut u64; Self::COUNTERS] {
+        let ServeSnapshot { serve, cache, .. } = self;
+        [
+            &mut serve.queries,
+            &mut serve.rejected,
+            &mut serve.hits,
+            &mut serve.stale_serves,
+            &mut serve.negative_hits,
+            &mut serve.misses,
+            &mut serve.coalesced_waiters,
+            &mut serve.generations,
+            &mut serve.generation_failures,
+            &mut serve.refreshes,
+            &mut serve.source_answers,
+            &mut serve.source_failures,
+            &mut cache.hits,
+            &mut cache.stale_hits,
+            &mut cache.misses,
+            &mut cache.insertions,
+            &mut cache.evictions,
+            &mut cache.expirations,
+        ]
+    }
+
     /// Adds `other` into `self`, aggregating per-shard snapshots into one
-    /// fleet-wide snapshot.
+    /// fleet-wide snapshot. Counters, gauges and the total generation
+    /// latency sum; `serve.last_generation_latency` keeps the largest
+    /// value (the slowest shard's most recent batch).
     pub fn absorb(&mut self, other: &ServeSnapshot) {
-        self.serve.absorb(&other.serve);
-        self.cache.absorb(&other.cache);
+        for (mine, theirs) in self.counters_mut().into_iter().zip(other.counters()) {
+            *mine += theirs;
+        }
+        self.serve.last_generation_latency = self
+            .serve
+            .last_generation_latency
+            .max(other.serve.last_generation_latency);
+        self.serve.total_generation_latency += other.serve.total_generation_latency;
         self.entries += other.entries;
         self.pending_refreshes += other.pending_refreshes;
     }
@@ -150,81 +196,10 @@ impl ServeSnapshot {
     /// campaigns check after every step.
     // sdoh-lint: allow(hot-path-purity, "monotonicity check is the chaos-monitor surface, never the serving path")
     pub fn regressions(&self, earlier: &ServeSnapshot) -> Vec<&'static str> {
-        let pairs: [(&'static str, u64, u64); 18] = [
-            ("serve.queries", earlier.serve.queries, self.serve.queries),
-            (
-                "serve.rejected",
-                earlier.serve.rejected,
-                self.serve.rejected,
-            ),
-            ("serve.hits", earlier.serve.hits, self.serve.hits),
-            (
-                "serve.stale_serves",
-                earlier.serve.stale_serves,
-                self.serve.stale_serves,
-            ),
-            (
-                "serve.negative_hits",
-                earlier.serve.negative_hits,
-                self.serve.negative_hits,
-            ),
-            ("serve.misses", earlier.serve.misses, self.serve.misses),
-            (
-                "serve.coalesced_waiters",
-                earlier.serve.coalesced_waiters,
-                self.serve.coalesced_waiters,
-            ),
-            (
-                "serve.generations",
-                earlier.serve.generations,
-                self.serve.generations,
-            ),
-            (
-                "serve.generation_failures",
-                earlier.serve.generation_failures,
-                self.serve.generation_failures,
-            ),
-            (
-                "serve.refreshes",
-                earlier.serve.refreshes,
-                self.serve.refreshes,
-            ),
-            (
-                "serve.source_answers",
-                earlier.serve.source_answers,
-                self.serve.source_answers,
-            ),
-            (
-                "serve.source_failures",
-                earlier.serve.source_failures,
-                self.serve.source_failures,
-            ),
-            ("cache.hits", earlier.cache.hits, self.cache.hits),
-            (
-                "cache.stale_hits",
-                earlier.cache.stale_hits,
-                self.cache.stale_hits,
-            ),
-            ("cache.misses", earlier.cache.misses, self.cache.misses),
-            (
-                "cache.insertions",
-                earlier.cache.insertions,
-                self.cache.insertions,
-            ),
-            (
-                "cache.evictions",
-                earlier.cache.evictions,
-                self.cache.evictions,
-            ),
-            (
-                "cache.expirations",
-                earlier.cache.expirations,
-                self.cache.expirations,
-            ),
-        ];
-        let mut regressed: Vec<&'static str> = pairs
+        let mut regressed: Vec<&'static str> = COUNTER_NAMES
             .into_iter()
-            .filter_map(|(name, before, after)| (after < before).then_some(name))
+            .zip(earlier.counters().into_iter().zip(self.counters()))
+            .filter_map(|(name, (before, after))| (after < before).then_some(name))
             .collect();
         if self.serve.total_generation_latency < earlier.serve.total_generation_latency {
             regressed.push("serve.total_generation_latency");

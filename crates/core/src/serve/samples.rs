@@ -126,10 +126,11 @@ pub const METRIC_SHARDS: (&str, &str) = (
     "sdoh_shards",
     "Serving shards (worker threads) of this instance.",
 );
-/// Control plane: shards that missed the latest snapshot deadline.
+/// Control plane: shards busy on one work item past the health deadline.
 pub const METRIC_UNRESPONSIVE_SHARDS: (&str, &str) = (
     "sdoh_unresponsive_shards",
-    "Shards that missed the latest snapshot deadline (wedged workers).",
+    "Shards busy on one work item for longer than the 1 s health deadline \
+     (wedged workers, e.g. stuck in a generation).",
 );
 /// Control plane: the most recently published config epoch.
 pub const METRIC_CONFIG_EPOCH: (&str, &str) = (
@@ -215,26 +216,7 @@ pub const SERVE_GAUGE_HELP: &[(&str, &str)] = &[
 /// shard). Counter values come straight from the snapshot's cumulative
 /// fields, so successive scrapes of a live resolver are monotone.
 pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Vec<Sample> {
-    let counters: [u64; 18] = [
-        snapshot.serve.queries,
-        snapshot.serve.rejected,
-        snapshot.serve.hits,
-        snapshot.serve.stale_serves,
-        snapshot.serve.negative_hits,
-        snapshot.serve.misses,
-        snapshot.serve.coalesced_waiters,
-        snapshot.serve.generations,
-        snapshot.serve.generation_failures,
-        snapshot.serve.refreshes,
-        snapshot.serve.source_answers,
-        snapshot.serve.source_failures,
-        snapshot.cache.hits,
-        snapshot.cache.stale_hits,
-        snapshot.cache.misses,
-        snapshot.cache.insertions,
-        snapshot.cache.evictions,
-        snapshot.cache.expirations,
-    ];
+    let counters = snapshot.counters();
     let gauges: [f64; 5] = [
         snapshot.entries as f64,
         snapshot.pending_refreshes as f64,

@@ -67,8 +67,8 @@
 //! ```text
 //! let shard = table.lookup(key); // sdoh-lint: allow(no-panic, "table is built covering every key")
 //!
-//! // sdoh-lint: allow(hot-path-purity, "cold path: snapshot aggregation runs on the stats thread")
-//! fn aggregate(&self) -> Snapshot { ... }
+//! // sdoh-lint: allow(hot-path-purity, "health probe renders at probe cadence, not per query")
+//! fn healthz(routes: &RouteState) -> HttpResponse { ... }
 //! ```
 //!
 //! A directive trailing code suppresses that line only; a directive on its

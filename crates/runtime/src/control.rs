@@ -7,8 +7,8 @@
 //! shard worker **through the worker's existing work queue** — the same
 //! FIFO its queries arrive on, so the epoch switch happens-after every
 //! query already accepted under the old epoch and no lock is added to the
-//! serving path. Each worker acks the epoch number into its own atomic
-//! slot in its next loop iteration; the `/metrics` gauges
+//! serving path. Each worker acks the epoch number in its shard's
+//! published cell when it takes the order up; the `/metrics` gauges
 //! `sdoh_config_epoch` and `sdoh_shard_acked_epoch{shard}` expose the
 //! propagation, and [`ControlHandle::wait_for_epoch`] blocks on it.
 //!
@@ -37,7 +37,7 @@ use sdoh_core::{
     AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig, PoolKey, ServeConfig,
 };
 
-use crate::runtime::{spawn_worker, Shard, WorkItem, WorkerContext};
+use crate::runtime::{spawn_worker, Shard, ShardCell, WorkItem, WorkerContext};
 
 /// Builds one shard's upstream source set, by shard index — how a
 /// [`ConfigDelta`] carries a new resolver set to N workers when
@@ -116,11 +116,11 @@ pub(crate) struct EpochOrder {
     pub(crate) sources: Option<SourceFactory>,
 }
 
-/// The live routing table: one sender plus one acked-epoch slot per shard,
-/// in shard order.
+/// The live routing table: one sender plus the cell its worker publishes
+/// into per shard, in shard order.
 pub(crate) struct RouteTable {
     pub(crate) senders: Vec<mpsc::Sender<WorkItem>>,
-    pub(crate) acked: Vec<Arc<AtomicU64>>,
+    pub(crate) cells: Vec<Arc<ShardCell>>,
 }
 
 /// Shared routing state. The dispatcher keeps a local copy of the senders
@@ -142,6 +142,11 @@ impl RouteState {
     /// A snapshot of the current senders.
     pub(crate) fn senders(&self) -> Vec<mpsc::Sender<WorkItem>> {
         self.table.lock().senders.clone()
+    }
+
+    /// A copy of the current shards' cells.
+    pub(crate) fn cells(&self) -> Vec<Arc<ShardCell>> {
+        self.table.lock().cells.clone()
     }
 
     /// Swaps in a new table and bumps the version so dispatchers reload.
@@ -213,9 +218,9 @@ impl ControlHandle {
             .routes
             .table
             .lock()
-            .acked
+            .cells
             .iter()
-            .map(|slot| slot.load(Ordering::Acquire))
+            .map(|cell| cell.acked_epoch())
             .collect()
     }
 
@@ -267,11 +272,8 @@ impl ControlHandle {
         });
         let shards = {
             let table = self.inner.routes.table.lock();
-            for (sender, ack) in table.senders.iter().zip(&table.acked) {
-                let _ = sender.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
+            for sender in &table.senders {
+                let _ = sender.send(WorkItem::Reconfigure(order.clone()));
             }
             table.senders.len()
         };
@@ -322,9 +324,9 @@ impl ControlHandle {
             sources: None,
         });
 
-        let (old_senders, old_acked) = {
+        let (old_senders, old_cells) = {
             let table = self.inner.routes.table.lock();
-            (table.senders.clone(), table.acked.clone())
+            (table.senders.clone(), table.cells.clone())
         };
         let old = old_senders.len();
 
@@ -332,27 +334,20 @@ impl ControlHandle {
             // Grow: spawn the added workers, put everyone on the new epoch,
             // publish the widened ring, then pull the entries it re-homed.
             let mut senders = old_senders.clone();
-            let mut acked = old_acked.clone();
+            let mut cells = old_cells;
             for index in old..shards {
                 let (tx, rx) = mpsc::channel();
-                let ack = Arc::new(AtomicU64::new(0));
-                let handle = spawn_worker(&self.inner.ctx, index, factory(index), rx)?;
+                let (handle, cell) = spawn_worker(&self.inner.ctx, index, factory(index), rx)?;
                 self.inner.worker_handles.lock().push(handle);
-                let _ = tx.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
+                let _ = tx.send(WorkItem::Reconfigure(order.clone()));
                 senders.push(tx);
-                acked.push(ack);
+                cells.push(cell);
             }
-            for (sender, ack) in old_senders.iter().zip(&old_acked) {
-                let _ = sender.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
+            for sender in &old_senders {
+                let _ = sender.send(WorkItem::Reconfigure(order.clone()));
             }
             let ring = Arc::new(senders.clone());
-            self.inner.routes.publish(RouteTable { senders, acked });
+            self.inner.routes.publish(RouteTable { senders, cells });
             let (done_tx, done_rx) = mpsc::channel();
             for sender in &old_senders {
                 let _ = sender.send(WorkItem::Rehash {
@@ -369,17 +364,14 @@ impl ControlHandle {
             // entry to its surviving owner. The retirees linger to serve
             // stray in-flight queries and exit on queue disconnect.
             let survivors = old_senders.get(..shards).unwrap_or(&old_senders).to_vec();
-            let survivor_acked = old_acked.get(..shards).unwrap_or(&old_acked).to_vec();
+            let survivor_cells = old_cells.get(..shards).unwrap_or(&old_cells).to_vec();
             let ring = Arc::new(survivors.clone());
             self.inner.routes.publish(RouteTable {
                 senders: survivors.clone(),
-                acked: survivor_acked.clone(),
+                cells: survivor_cells,
             });
-            for (sender, ack) in survivors.iter().zip(&survivor_acked) {
-                let _ = sender.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
+            for sender in &survivors {
+                let _ = sender.send(WorkItem::Reconfigure(order.clone()));
             }
             let (done_tx, done_rx) = mpsc::channel();
             for sender in old_senders.get(shards..).unwrap_or(&[]) {

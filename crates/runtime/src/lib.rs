@@ -12,10 +12,10 @@
 //!   truncated-answer retries), routes each query by
 //!   `(domain, address family)` hash to one of N worker threads, each of
 //!   which **owns** its [`CachingPoolResolver`](sdoh_core::CachingPoolResolver)
-//!   shard outright (no shared lock on the serving path), pumps background
-//!   refreshes from a dedicated thread, merges per-shard
-//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into [`RuntimeStats`] on
-//!   demand, and shuts down gracefully.
+//!   shard outright (no shared lock on the serving path) and runs its
+//!   background refreshes when they fall due, merges the
+//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s the workers publish into
+//!   [`RuntimeStats`], and shuts down gracefully.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
 //!   terminators via [`PayloadService`]) reached through `Send`
 //!   [`BackendExchanger`]s, so a complete serving stack runs end-to-end
@@ -34,23 +34,27 @@
 //! worker records per-query serving latency into its own
 //! `sdoh_serve_latency_seconds` histogram (two relaxed atomic adds on the
 //! hot path — disable via [`RuntimeConfig::record_latency`] for overhead
-//! runs), and a scrape-time collector pulls fresh
-//! [`ServeSnapshot`](sdoh_core::ServeSnapshot)s from the workers and
-//! exports them through the shared vocabulary in
-//! [`sdoh_core::snapshot_samples`]. There is no periodic stats thread:
-//! the collector, [`PoolRuntime::stats`] and `/healthz` each take the
-//! same on-demand snapshot-and-merge reading.
+//! runs), and a scrape-time collector reads the
+//! [`ServeSnapshot`](sdoh_core::ServeSnapshot) each worker publishes into
+//! its shard's lock-free cell and exports them through the shared
+//! vocabulary in [`sdoh_core::snapshot_samples`]. A worker publishes after
+//! every change of state and before each reply leaves, so a client holding
+//! an answer always finds its query counted. Nothing runs periodically,
+//! and no reader sends anything into a work queue: the collector,
+//! [`PoolRuntime::stats`] and `/healthz` each read the cells at once, even
+//! while a worker is stuck in a generation.
 //!
 //! Set [`RuntimeConfig::stats_bind`] to bind the HTTP stats listener:
 //! `/metrics` serves the Prometheus text exposition, `/metrics.json` the
-//! JSON flavour, and `/healthz` is the readiness probe — 200 while every
-//! shard answers its snapshot within the health deadline, 503 with an
-//! `unresponsive_shards` count otherwise, plus the pool-guarantee state
-//! (generation failures / negative serves). Point the workspace's
-//! `fleet-aggregator` binary (or [`sdoh_metrics::scrape_fleet`]) at
-//! several instances' listeners for fleet-wide rollups. Shards that miss
-//! a snapshot deadline surface as `None` entries in
-//! [`RuntimeStats::per_shard`] and are never silently counted as zeros.
+//! JSON flavour, and `/healthz` is the readiness probe — 200 unless some
+//! shard has been busy on one work item for longer than the 1 s health
+//! deadline, 503 with an `unresponsive_shards` count otherwise, plus the
+//! pool-guarantee state (generation failures / negative serves). Point the
+//! workspace's `fleet-aggregator` binary (or [`sdoh_metrics::scrape_fleet`])
+//! at several instances' listeners for fleet-wide rollups. Every shard
+//! always has an entry in [`RuntimeStats::per_shard`]: a wedged shard
+//! shows what it had served before the item it is stuck on, and
+//! [`RuntimeStats::unresponsive_shards`] counts it.
 //!
 //! # Hot reconfiguration
 //!
@@ -61,7 +65,7 @@
 //! window, upstream resolver set, pool hardening knobs), publishes the
 //! next epoch and fans it to every shard **through the shard's existing
 //! work queue** — no lock is added to the serving path, and each shard
-//! acks the epoch in its next loop iteration. Cached entries are never
+//! acks the epoch when it takes the order up. Cached entries are never
 //! invalidated by an epoch switch; they are re-judged against the new
 //! knobs at lookup time, and a served answer's age is always bounded by
 //! the *maximum* of the old and new `TTL + stale window` horizons.

@@ -10,36 +10,44 @@
 //!              └─────┬──────┘                  └──────┬──────┘
 //!        hash(qname, qtype) ──────────────────────────┘
 //!         ┌──────────┼─────────────┐
-//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐     ┌───────────┐
-//!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── │ refresh   │ (Pump tick)
-//!   │ resolver │ │ resolver │ │ resolver │     └───────────┘
-//!   └──────────┘ └──────────┘ └──────────┘ ◄── stats() / scrape / healthz
-//!                                               (Snapshot on demand)
+//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐
+//!   │ shard 0  │ │ shard 1  │ │ shard N-1│  each waits on its queue until
+//!   │ resolver │ │ resolver │ │ resolver │  its next refresh is due
+//!   └────┬─────┘ └────┬─────┘ └────┬─────┘
+//!        ▼ publish    ▼            ▼
+//!   ┌──────────────────────────────────────┐
+//!   │ one ShardCell per shard (atomics)    │ ◄── stats() / scrape / healthz
+//!   └──────────────────────────────────────┘
 //! ```
 //!
 //! Each worker thread **owns** one [`CachingPoolResolver`] shard and one
 //! `Send` exchanger — there is no lock around the pool cache at all;
 //! queries are routed by `(domain, address family)` hash so every key
 //! always lands on the same shard and singleflight coalescing keeps
-//! working per shard. A dedicated refresh thread ticks the workers to pump
-//! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) off the
-//! query path. Statistics are taken on demand: [`PoolRuntime::stats`], a
-//! `/metrics` scrape and `/healthz` each ask every shard for a
-//! [`ServeSnapshot`] over its work queue and merge the answers.
+//! working per shard. A worker runs
+//! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) itself
+//! when [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
+//! passes, off the query path; nothing periodic runs beside the workers.
+//! After every change of state, and before a reply leaves, a worker
+//! publishes its [`ServeSnapshot`] into its shard's cell. Statistics are
+//! read from the cells: [`PoolRuntime::stats`], a `/metrics` scrape and
+//! `/healthz` never send anything into a work queue, so they never wait
+//! behind queries or a generation.
 //!
 //! Responses that exceed the configured UDP payload limit are answered
 //! with an empty TC=1 message; clients retry over the TCP listener bound
 //! to the same port number (RFC 1035 length-prefixed framing).
 //! [`PoolRuntime::shutdown`] stops the socket threads, drains the worker
-//! queues, takes a final snapshot and joins every thread.
+//! queues, joins every thread and reads the final cells.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,13 +66,13 @@ use sdoh_netsim::SimInstant;
 
 use crate::control::{owner_of, ControlHandle, EpochOrder, RouteState, RouteTable};
 
-/// How long a stats aggregation waits for each shard before marking it
-/// unresponsive (a wedged worker must not wedge the exporter).
-const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The shorter deadline `/healthz` probes shards with: a readiness check
-/// has to answer promptly even when a worker is stuck in a generation.
+/// How long a worker may stay busy on one work item before readers count
+/// its shard unresponsive (and `/healthz` reports the instance unready).
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Granularity at which the blocking socket loops re-check the shutdown
+/// flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// How many ephemeral UDP ports [`PoolRuntime::start`] tries before giving
 /// up on finding one whose TCP twin is free too.
@@ -75,8 +83,7 @@ const PORT_PAIR_ATTEMPTS: usize = 8;
 /// Non-exhaustive: build it from [`RuntimeConfig::default`] with the
 /// `with_*` builder methods so future knobs aren't breaking changes.
 /// [`RuntimeConfig::validate`] (also run by [`PoolRuntime::start`])
-/// rejects combinations that would misbehave at runtime instead of
-/// letting them wedge a tick loop.
+/// rejects values that would misbehave at runtime.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RuntimeConfig {
@@ -84,18 +91,10 @@ pub struct RuntimeConfig {
     /// picks an ephemeral port whose TCP twin is free too; read it back
     /// from [`PoolRuntime::udp_addr`].
     pub bind: SocketAddr,
-    /// How often the refresh thread ticks the workers to pump due
-    /// background refreshes. `Duration::ZERO` disables the refresh pump
-    /// entirely — then [`PoolRuntime::start`] rejects shards configured
-    /// with a stale window, which would queue refreshes nothing ever runs.
-    pub refresh_interval: Duration,
     /// Largest UDP response payload served without truncation. Larger
     /// answers are replaced by an empty TC=1 response so the client
     /// retries over TCP.
     pub udp_payload_limit: usize,
-    /// Granularity at which blocking socket loops re-check the shutdown
-    /// flag.
-    pub poll_interval: Duration,
     /// Whether to bind the TCP fallback listener.
     pub enable_tcp: bool,
     /// Address to bind the HTTP stats listener on (`/metrics`,
@@ -112,9 +111,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
-            refresh_interval: Duration::from_millis(50),
             udp_payload_limit: 1232,
-            poll_interval: Duration::from_millis(5),
             enable_tcp: true,
             stats_bind: None,
             record_latency: true,
@@ -129,21 +126,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the refresh-pump interval (`Duration::ZERO` disables it).
-    pub fn with_refresh_interval(mut self, interval: Duration) -> Self {
-        self.refresh_interval = interval;
-        self
-    }
-
     /// Sets the UDP truncation threshold (must be non-zero).
     pub fn with_udp_payload_limit(mut self, limit: usize) -> Self {
         self.udp_payload_limit = limit;
-        self
-    }
-
-    /// Sets the shutdown-flag polling granularity (must be non-zero).
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 
@@ -165,17 +150,13 @@ impl RuntimeConfig {
         self
     }
 
-    /// Validates the runtime knobs: the poll interval drives the tick and
-    /// accept loops and must be non-zero, and a zero payload limit would
-    /// truncate every answer.
+    /// Validates the runtime knobs: a zero payload limit would truncate
+    /// every answer.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Zero`] naming the offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.poll_interval.is_zero() {
-            return Err(ConfigError::Zero("poll_interval"));
-        }
         if self.udp_payload_limit == 0 {
             return Err(ConfigError::Zero("udp_payload_limit"));
         }
@@ -237,12 +218,10 @@ impl FrontCounters {
 /// One aggregated statistics observation of a running [`PoolRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeStats {
-    /// Snapshot of every shard, in shard order. `None` for shards that did
-    /// not answer the snapshot request within the timeout — a wedged
-    /// worker (e.g. stuck in a generation), never silently folded into the
-    /// totals as zeros.
-    pub per_shard: Vec<Option<ServeSnapshot>>,
-    /// The fleet-wide aggregate of the *responsive* shards.
+    /// The last snapshot each shard published, in shard order. A shard
+    /// busy on a work item shows its state from before that item.
+    pub per_shard: Vec<ServeSnapshot>,
+    /// The aggregate of every shard.
     pub total: ServeSnapshot,
     /// Datagrams accepted by the UDP dispatcher.
     pub udp_queries: u64,
@@ -258,14 +237,15 @@ pub struct RuntimeStats {
     pub config_epoch: u64,
     /// Runtime uptime when the snapshot was taken.
     pub taken_at: SimInstant,
+    unresponsive: usize,
 }
 
 impl RuntimeStats {
-    /// Shards that missed the snapshot deadline (their `per_shard` entry
-    /// is `None`). Non-zero means `total` undercounts and `/healthz`
-    /// reports the instance unready.
+    /// Shards that had been busy on one work item (e.g. a generation) for
+    /// longer than the 1 s health deadline when the reading was taken.
+    /// Non-zero means `/healthz` reports the instance unready.
     pub fn unresponsive_shards(&self) -> usize {
-        self.per_shard.iter().filter(|s| s.is_none()).count()
+        self.unresponsive
     }
 }
 
@@ -301,19 +281,16 @@ impl std::fmt::Display for RuntimeStats {
             self.total.entries,
             self.total.pending_refreshes,
         )?;
-        for (index, shard) in self.per_shard.iter().enumerate() {
-            match shard {
-                Some(snapshot) => writeln!(
-                    f,
-                    "  shard {index}: queries={} hits={} misses={} generations={} entries={}",
-                    snapshot.serve.queries,
-                    snapshot.serve.hits,
-                    snapshot.serve.misses,
-                    snapshot.serve.generations,
-                    snapshot.entries,
-                )?,
-                None => writeln!(f, "  shard {index}: unresponsive (snapshot timed out)")?,
-            }
+        for (index, snapshot) in self.per_shard.iter().enumerate() {
+            writeln!(
+                f,
+                "  shard {index}: queries={} hits={} misses={} generations={} entries={}",
+                snapshot.serve.queries,
+                snapshot.serve.hits,
+                snapshot.serve.misses,
+                snapshot.serve.generations,
+                snapshot.entries,
+            )?;
         }
         Ok(())
     }
@@ -322,18 +299,11 @@ impl std::fmt::Display for RuntimeStats {
 pub(crate) enum WorkItem {
     /// Serve one wire-format query and reply along the given path.
     Query { wire: Vec<u8>, reply: ReplyPath },
-    /// Pump due background refreshes (sent by the refresh thread).
-    Pump,
-    /// Report a consistent snapshot of this shard's state.
-    Snapshot(mpsc::Sender<(usize, ServeSnapshot)>),
     /// Report a probe of every cache entry (control-plane invariant
     /// checks).
     Probe(mpsc::Sender<(usize, Vec<CacheEntryProbe>)>),
-    /// Adopt a new config epoch and ack its number into the slot.
-    Reconfigure {
-        order: Arc<EpochOrder>,
-        ack: Arc<AtomicU64>,
-    },
+    /// Adopt a new config epoch and ack its number in the shard's cell.
+    Reconfigure(Arc<EpochOrder>),
     /// The hash ring now spans `shards` shards: extract every entry this
     /// shard no longer owns and forward it to its new owner over `table`,
     /// then confirm on `done`.
@@ -363,6 +333,129 @@ pub(crate) enum ReplyPath {
     Udp(SocketAddr),
     /// Hand the full response back to the TCP connection handler.
     Tcp(mpsc::Sender<Vec<u8>>),
+}
+
+/// What one shard worker publishes for every other thread to read: its
+/// [`ServeSnapshot`], when it took up its current work item, the config
+/// epoch it last adopted and its serving-latency histogram. The worker is
+/// the only writer. Readers never touch its queue, so a reading never
+/// waits behind queries or a generation.
+pub(crate) struct ShardCell {
+    /// A sequence lock over the snapshot words below: odd while the worker
+    /// writes them, even otherwise. The worker's `Release` fence after
+    /// making it odd pairs with a reader's `Acquire` fence after its word
+    /// loads, and the `Release` store that makes it even again pairs with
+    /// the reader's first `Acquire` load; a reader that sees the same even
+    /// value before and after its loads read one published snapshot.
+    seq: AtomicU64,
+    /// [`ServeSnapshot::counters`].
+    counters: [AtomicU64; ServeSnapshot::COUNTERS],
+    entries: AtomicUsize,
+    pending_refreshes: AtomicUsize,
+    last_generation_nanos: AtomicU64,
+    total_generation_nanos: AtomicU64,
+    /// One plus the nanoseconds after `base` at which the worker took up
+    /// its current work item; zero while it waits on its queue.
+    busy_since: AtomicU64,
+    acked_epoch: AtomicU64,
+    base: Instant,
+    /// `None` when [`RuntimeConfig::record_latency`] is off.
+    latency: Option<Histogram>,
+}
+
+impl ShardCell {
+    fn new(latency: Option<Histogram>) -> ShardCell {
+        ShardCell {
+            seq: AtomicU64::new(0),
+            counters: Default::default(),
+            entries: AtomicUsize::new(0),
+            pending_refreshes: AtomicUsize::new(0),
+            last_generation_nanos: AtomicU64::new(0),
+            total_generation_nanos: AtomicU64::new(0),
+            busy_since: AtomicU64::new(0),
+            // Workers implicitly serve under epoch 0 from construction.
+            acked_epoch: AtomicU64::new(0),
+            base: Instant::now(),
+            latency,
+        }
+    }
+
+    /// Marks the worker busy from `started`, the instant it dequeued an
+    /// item or began a refresh batch.
+    fn begin(&self, started: Instant) {
+        let since = nanos(started.saturating_duration_since(self.base));
+        self.busy_since
+            .store(since.saturating_add(1), Ordering::Release);
+    }
+
+    /// Publishes `snapshot` and marks the worker idle.
+    fn publish(&self, snapshot: &ServeSnapshot) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (word, value) in self.counters.iter().zip(snapshot.counters()) {
+            word.store(value, Ordering::Relaxed);
+        }
+        self.entries.store(snapshot.entries, Ordering::Relaxed);
+        self.pending_refreshes
+            .store(snapshot.pending_refreshes, Ordering::Relaxed);
+        self.last_generation_nanos.store(
+            nanos(snapshot.serve.last_generation_latency),
+            Ordering::Relaxed,
+        );
+        self.total_generation_nanos.store(
+            nanos(snapshot.serve.total_generation_latency),
+            Ordering::Relaxed,
+        );
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+        self.busy_since.store(0, Ordering::Release);
+    }
+
+    /// The last published snapshot, read consistently.
+    fn snapshot(&self) -> ServeSnapshot {
+        loop {
+            let before = self.seq.load(Ordering::Acquire);
+            let mut snapshot = ServeSnapshot::default();
+            for (counter, word) in snapshot.counters_mut().into_iter().zip(&self.counters) {
+                *counter = word.load(Ordering::Relaxed);
+            }
+            snapshot.entries = self.entries.load(Ordering::Relaxed);
+            snapshot.pending_refreshes = self.pending_refreshes.load(Ordering::Relaxed);
+            snapshot.serve.last_generation_latency =
+                Duration::from_nanos(self.last_generation_nanos.load(Ordering::Relaxed));
+            snapshot.serve.total_generation_latency =
+                Duration::from_nanos(self.total_generation_nanos.load(Ordering::Relaxed));
+            fence(Ordering::Acquire);
+            if before.is_multiple_of(2) && self.seq.load(Ordering::Relaxed) == before {
+                return snapshot;
+            }
+            // The worker is mid-publish: let it finish.
+            std::thread::yield_now();
+        }
+    }
+
+    /// Whether the worker has been busy on one work item for longer than
+    /// [`HEALTH_TIMEOUT`].
+    fn wedged(&self) -> bool {
+        match self.busy_since.load(Ordering::Acquire) {
+            0 => false,
+            since => {
+                self.base.elapsed() > Duration::from_nanos(since - 1).saturating_add(HEALTH_TIMEOUT)
+            }
+        }
+    }
+
+    fn ack(&self, epoch: u64) {
+        self.acked_epoch.store(epoch, Ordering::Release);
+    }
+
+    pub(crate) fn acked_epoch(&self) -> u64 {
+        self.acked_epoch.load(Ordering::Acquire)
+    }
+}
+
+fn nanos(duration: Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Everything a worker thread needs besides its shard: shared by
@@ -400,22 +493,24 @@ impl WorkerContext {
     }
 }
 
-/// Spawns one shard worker thread. `index` is the shard's position in the
-/// route table.
+/// Spawns one shard worker thread and returns it with the cell it
+/// publishes into. `index` is the shard's position in the route table.
 // sdoh-lint: allow(hot-path-purity, "thread naming happens once at spawn time")
 pub(crate) fn spawn_worker(
     ctx: &WorkerContext,
     index: usize,
     shard: Shard,
     rx: mpsc::Receiver<WorkItem>,
-) -> std::io::Result<JoinHandle<()>> {
+) -> std::io::Result<(JoinHandle<()>, Arc<ShardCell>)> {
     let socket = Arc::clone(&ctx.socket);
     let counters = Arc::clone(&ctx.counters);
     let limit = ctx.udp_payload_limit;
-    let latency = ctx.latency_for(index);
-    std::thread::Builder::new()
+    let cell = Arc::new(ShardCell::new(ctx.latency_for(index)));
+    let published = Arc::clone(&cell);
+    let handle = std::thread::Builder::new()
         .name(format!("sdoh-shard-{index}"))
-        .spawn(move || worker_loop(index, shard, rx, socket, limit, counters, latency))
+        .spawn(move || worker_loop(index, shard, rx, socket, limit, counters, &published))?;
+    Ok((handle, cell))
 }
 
 /// The running threaded front end. Dropping it without calling
@@ -434,21 +529,18 @@ pub struct PoolRuntime {
 }
 
 impl PoolRuntime {
-    /// Binds the sockets and spawns the worker, dispatcher, TCP and
-    /// refresh threads (and the stats listener when
-    /// [`RuntimeConfig::stats_bind`] is set). One worker thread per entry
-    /// of `shards`. With port 0 in [`RuntimeConfig::bind`], a UDP port
-    /// whose TCP twin is taken by another socket is swapped for a fresh
-    /// one, a few times at most.
+    /// Binds the sockets and spawns the worker, dispatcher and TCP threads
+    /// (and the stats listener when [`RuntimeConfig::stats_bind`] is set).
+    /// One worker thread per entry of `shards`; each runs its shard's
+    /// background refreshes when they fall due. With port 0 in
+    /// [`RuntimeConfig::bind`], a UDP port whose TCP twin is taken by
+    /// another socket is swapped for a fresh one, a few times at most.
     ///
     /// # Errors
     ///
     /// Propagates socket binding/configuration failures, including
     /// `AddrInUse` for an explicit port whose TCP twin is taken. `shards`
-    /// must be non-empty, [`RuntimeConfig::validate`] must pass, and a disabled
-    /// refresh pump ([`RuntimeConfig::refresh_interval`] zero) rejects
-    /// shards configured with a stale window — they would queue
-    /// background refreshes nothing ever runs.
+    /// must be non-empty and [`RuntimeConfig::validate`] must pass.
     pub fn start(config: RuntimeConfig, shards: Vec<Shard>) -> std::io::Result<PoolRuntime> {
         // The runtime-level config epoch starts from the first shard's
         // cache knobs (shards are normally built homogeneous); epoch 0.
@@ -461,27 +553,16 @@ impl PoolRuntime {
                 ))
             }
         };
-        let invalid = |err: ConfigError| {
+        config.validate().map_err(|err| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, err.to_string())
-        };
-        config.validate().map_err(invalid)?;
-        if config.refresh_interval.is_zero()
-            && shards
-                .iter()
-                .any(|shard| !shard.resolver.cache().config().stale_window.is_zero())
-        {
-            return Err(invalid(ConfigError::Invalid {
-                field: "refresh_interval",
-                reason: "a stale window is configured but the refresh pump is disabled".into(),
-            }));
-        }
+        })?;
         let (udp, tcp) = bind_do53_pair(
             UdpSocket::bind(config.bind)?,
             config.bind,
             config.enable_tcp,
         )?;
         let udp = Arc::new(udp);
-        udp.set_read_timeout(Some(config.poll_interval))?;
+        udp.set_read_timeout(Some(POLL_INTERVAL))?;
         let udp_addr = udp.local_addr()?;
         if let Some(listener) = &tcp {
             listener.set_nonblocking(true)?;
@@ -506,34 +587,30 @@ impl PoolRuntime {
 
         let shard_count = shards.len();
         let mut senders = Vec::with_capacity(shard_count);
-        let mut acked = Vec::with_capacity(shard_count);
+        let mut cells = Vec::with_capacity(shard_count);
         let mut worker_handles = Vec::with_capacity(shard_count);
         for (index, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<WorkItem>();
-            worker_handles.push(spawn_worker(&ctx, index, shard, rx)?);
+            let (handle, cell) = spawn_worker(&ctx, index, shard, rx)?;
+            worker_handles.push(handle);
             senders.push(tx);
-            // Workers implicitly serve under epoch 0 from construction.
-            acked.push(Arc::new(AtomicU64::new(0)));
+            cells.push(cell);
         }
-        let routes = Arc::new(RouteState::new(RouteTable { senders, acked }));
+        let routes = Arc::new(RouteState::new(RouteTable { senders, cells }));
         let control = ControlHandle::new(Arc::clone(&routes), initial, ctx, worker_handles);
 
         // The serve-layer counters live inside the worker threads; a
-        // scrape-time collector fetches fresh snapshots over the work
-        // queues (reading the *live* route table, so rescales are
-        // reflected) and renders them through the shared serve vocabulary,
-        // plus the control-plane epoch gauges.
+        // scrape-time collector reads the cells they publish (from the
+        // *live* route table, so rescales are reflected) and renders them
+        // through the shared serve vocabulary, plus the control-plane epoch
+        // gauges.
         {
             let routes = Arc::clone(&routes);
             let epoch = Arc::clone(&control.inner.epoch);
             // sdoh-lint: allow(hot-path-purity, "scrape-time collector: runs per /metrics pull, not per query")
             registry.register_collector(Box::new(move || {
-                let (senders, acked) = {
-                    let table = routes.table.lock();
-                    (table.senders.clone(), table.acked.clone())
-                };
-                let (per_shard, total) = take_shard_snapshots(&senders, SNAPSHOT_TIMEOUT);
-                let unresponsive = per_shard.iter().filter(|s| s.is_none()).count();
+                let cells = routes.cells();
+                let (_, total, unresponsive) = read_cells(&cells);
                 let gauge =
                     |(name, help): (&str, &str), labels: Vec<(String, String)>, v: f64| Sample {
                         name: name.to_string(),
@@ -545,7 +622,7 @@ impl PoolRuntime {
                 samples.push(gauge(
                     sdoh_core::METRIC_SHARDS,
                     Vec::new(),
-                    senders.len() as f64,
+                    cells.len() as f64,
                 ));
                 samples.push(gauge(
                     sdoh_core::METRIC_UNRESPONSIVE_SHARDS,
@@ -557,11 +634,11 @@ impl PoolRuntime {
                     Vec::new(),
                     epoch.load(Ordering::Acquire) as f64,
                 ));
-                for (index, slot) in acked.iter().enumerate() {
+                for (index, cell) in cells.iter().enumerate() {
                     samples.push(gauge(
                         sdoh_core::METRIC_SHARD_ACKED_EPOCH,
                         vec![("shard".to_string(), index.to_string())],
-                        slot.load(Ordering::Acquire) as f64,
+                        cell.acked_epoch() as f64,
                     ));
                 }
                 samples
@@ -589,8 +666,8 @@ impl PoolRuntime {
             None => None,
         };
 
-        // Dispatcher + TCP + refresh: at most three service threads.
-        let mut service_handles = Vec::with_capacity(3);
+        // Dispatcher + TCP: at most two service threads.
+        let mut service_handles = Vec::with_capacity(2);
         {
             let socket = Arc::clone(&udp);
             let routes = Arc::clone(&routes);
@@ -606,28 +683,10 @@ impl PoolRuntime {
             let routes = Arc::clone(&routes);
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
-            let poll = config.poll_interval;
             service_handles.push(
                 std::thread::Builder::new()
                     .name("sdoh-tcp".into())
-                    .spawn(move || tcp_loop(listener, routes, stop, poll, counters))?,
-            );
-        }
-        if !config.refresh_interval.is_zero() {
-            let routes = Arc::clone(&routes);
-            let stop = Arc::clone(&stop);
-            let interval = config.refresh_interval;
-            let poll = config.poll_interval;
-            service_handles.push(
-                std::thread::Builder::new()
-                    .name("sdoh-refresh".into())
-                    .spawn(move || {
-                        tick_loop(stop, interval, poll, move || {
-                            for sender in &routes.senders() {
-                                let _ = sender.send(WorkItem::Pump);
-                            }
-                        })
-                    })?,
+                    .spawn(move || tcp_loop(listener, routes, stop, counters))?,
             );
         }
         Ok(PoolRuntime {
@@ -680,13 +739,14 @@ impl PoolRuntime {
         self.control.clone()
     }
 
-    /// **The** statistics accessor: takes an on-demand aggregate right
-    /// now, asking every shard for a [`ServeSnapshot`] and merging them.
-    /// Each shard's snapshot is internally consistent; shards are sampled
-    /// at slightly different instants (they answer between queries).
+    /// **The** statistics accessor: reads the [`ServeSnapshot`] every
+    /// shard last published and merges them, without waiting on any
+    /// worker. Each shard's snapshot is internally consistent and counts
+    /// every query whose reply has left; a shard busy on a long item (a
+    /// generation) shows its state from before that item.
     pub fn stats(&self) -> RuntimeStats {
         take_stats(
-            &self.control.inner.routes,
+            &self.control.inner.routes.cells(),
             &self.counters,
             self.control.current_epoch(),
             self.clock.now(),
@@ -694,13 +754,13 @@ impl PoolRuntime {
     }
 
     /// Graceful shutdown: stop accepting traffic, drain the worker queues,
-    /// take the final aggregate and join every thread — including workers
-    /// still lingering in retired mode from a shrink. Returns the final
+    /// join every thread — including workers still lingering in retired
+    /// mode from a shrink — and read the final aggregate. Returns the final
     /// statistics; [`RuntimeStats::config_epoch`] is the final epoch.
     // sdoh-lint: allow(hot-path-purity, "shutdown path: serving has already stopped")
     pub fn shutdown(mut self) -> RuntimeStats {
-        // 1. Stop the socket/tick threads (and the stats listener, so no
-        //    scrape races the drain); no new work enters the queues.
+        // 1. Stop the socket threads (and the stats listener, so no scrape
+        //    races the drain); no new work enters the queues.
         self.stop.store(true, Ordering::SeqCst);
         if let Some(mut server) = self.stats_server.take() {
             server.shutdown();
@@ -708,25 +768,18 @@ impl PoolRuntime {
         for handle in self.service_handles {
             let _ = handle.join();
         }
-        // 2. The final snapshot request queues *behind* any remaining
-        //    queries, so the numbers include every accepted query.
-        let stats = take_stats(
-            &self.control.inner.routes,
-            &self.counters,
-            self.control.current_epoch(),
-            self.clock.now(),
-        );
-        // 3. Clear the route table: live shards get a Shutdown item, and
-        //    dropping the runtime's senders disconnects any retired
-        //    workers still lingering from a shrink (their exit signal),
-        //    even while the user holds ControlHandle clones.
-        let table = {
+        // 2. Clear the route table: live shards get a Shutdown item behind
+        //    any remaining queries, and dropping the runtime's senders
+        //    disconnects any retired workers still lingering from a shrink
+        //    (their exit signal), even while the user holds ControlHandle
+        //    clones.
+        let RouteTable { senders, cells } = {
             let mut table = self.control.inner.routes.table.lock();
             std::mem::replace(
                 &mut *table,
                 RouteTable {
                     senders: Vec::new(),
-                    acked: Vec::new(),
+                    cells: Vec::new(),
                 },
             )
         };
@@ -735,15 +788,22 @@ impl PoolRuntime {
             .routes
             .version
             .fetch_add(1, Ordering::Release);
-        for sender in &table.senders {
+        for sender in &senders {
             let _ = sender.send(WorkItem::Shutdown);
         }
-        drop(table);
+        drop(senders);
         let handles = std::mem::take(&mut *self.control.inner.worker_handles.lock());
         for handle in handles {
             let _ = handle.join();
         }
-        stats
+        // 3. Every worker has drained its queue and published its last
+        //    state, so the numbers include every accepted query.
+        take_stats(
+            &cells,
+            &self.counters,
+            self.control.current_epoch(),
+            self.clock.now(),
+        )
     }
 }
 
@@ -755,20 +815,6 @@ impl std::fmt::Debug for PoolRuntime {
             .field("shards", &self.shard_count())
             .field("epoch", &self.control.current_epoch())
             .finish()
-    }
-}
-
-/// Runs `tick` every `interval` until `stop`, re-checking the flag every
-/// `poll` so shutdown is prompt.
-fn tick_loop(stop: Arc<AtomicBool>, interval: Duration, poll: Duration, mut tick: impl FnMut()) {
-    let mut since_tick = Duration::ZERO;
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(poll.min(interval));
-        since_tick += poll.min(interval);
-        if since_tick >= interval {
-            since_tick = Duration::ZERO;
-            tick();
-        }
     }
 }
 
@@ -805,51 +851,28 @@ fn bind_do53_pair(
     }
 }
 
-/// Asks every shard for a snapshot over its work queue and merges the
-/// answers into one aggregate — the one reading behind `stats()`,
-/// `/metrics` and `/healthz`. Shards that do not answer within `timeout`
-/// — wedged in a generation, or already shut down — come back as `None`
-/// and are left out of the aggregate, never folded in as silent zeros.
-// sdoh-lint: allow(hot-path-purity, "snapshot fan-out buffers; runs at scrape/health cadence")
-fn take_shard_snapshots(
-    workers: &[mpsc::Sender<WorkItem>],
-    timeout: Duration,
-) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
-    let (tx, rx) = mpsc::channel();
-    let mut requested = 0;
-    for sender in workers {
-        if sender.send(WorkItem::Snapshot(tx.clone())).is_ok() {
-            requested += 1;
-        }
-    }
-    drop(tx);
-    let mut per_shard: Vec<Option<ServeSnapshot>> = vec![None; workers.len()];
-    let deadline = Instant::now() + timeout;
-    for _ in 0..requested {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(remaining) {
-            Ok((index, snapshot)) => {
-                if let Some(slot) = per_shard.get_mut(index) {
-                    *slot = Some(snapshot);
-                }
-            }
-            Err(_) => break,
-        }
-    }
+/// Reads every shard's cell: the per-shard snapshots, their merge and how
+/// many shards are wedged — the one reading behind `stats()`, `/metrics`
+/// and `/healthz`.
+fn read_cells(cells: &[Arc<ShardCell>]) -> (Vec<ServeSnapshot>, ServeSnapshot, usize) {
+    let mut per_shard = Vec::with_capacity(cells.len());
     let mut total = ServeSnapshot::default();
-    for snapshot in per_shard.iter().flatten() {
-        total.absorb(snapshot);
+    for cell in cells {
+        let snapshot = cell.snapshot();
+        total.absorb(&snapshot);
+        per_shard.push(snapshot);
     }
-    (per_shard, total)
+    let wedged = cells.iter().filter(|cell| cell.wedged()).count();
+    (per_shard, total, wedged)
 }
 
 fn take_stats(
-    routes: &RouteState,
+    cells: &[Arc<ShardCell>],
     counters: &FrontCounters,
     config_epoch: u64,
     taken_at: SimInstant,
 ) -> RuntimeStats {
-    let (per_shard, total) = take_shard_snapshots(&routes.senders(), SNAPSHOT_TIMEOUT);
+    let (per_shard, total, unresponsive) = read_cells(cells);
     RuntimeStats {
         per_shard,
         total,
@@ -859,18 +882,18 @@ fn take_stats(
         dropped_queries: counters.dropped.get(),
         config_epoch,
         taken_at,
+        unresponsive,
     }
 }
 
-/// The `/healthz` readiness probe: 200 when every shard answered its
-/// snapshot within the (short) health deadline, 503 otherwise. The body
-/// reports shard liveness plus the pool-guarantee state — generation
+/// The `/healthz` readiness probe: 200 unless some shard has been busy on
+/// one work item for longer than the health deadline, 503 otherwise. The
+/// body reports shard liveness plus the pool-guarantee state — generation
 /// failures mean some queries were answered from negatively-cached
 /// failures rather than fresh secure generations.
 // sdoh-lint: allow(hot-path-purity, "health probe renders at probe cadence, not per query")
 fn healthz(routes: &RouteState) -> HttpResponse {
-    let (per_shard, total) = take_shard_snapshots(&routes.senders(), HEALTH_TIMEOUT);
-    let unresponsive = per_shard.iter().filter(|s| s.is_none()).count();
+    let (per_shard, total, unresponsive) = read_cells(&routes.cells());
     let ready = unresponsive == 0;
     let body = format!(
         "{}\nshards {}\nunresponsive_shards {}\ncache_entries {}\npending_refreshes {}\n\
@@ -995,7 +1018,6 @@ fn tcp_loop(
     listener: TcpListener,
     routes: Arc<RouteState>,
     stop: Arc<AtomicBool>,
-    poll: Duration,
     counters: Arc<FrontCounters>,
 ) {
     while !stop.load(Ordering::SeqCst) {
@@ -1008,7 +1030,7 @@ fn tcp_loop(
                 let _ = serve_tcp_connection(stream, &routes, &counters);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
+                std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => break,
         }
@@ -1087,7 +1109,7 @@ fn worker_loop(
     socket: Arc<UdpSocket>,
     udp_payload_limit: usize,
     counters: Arc<FrontCounters>,
-    latency: Option<Histogram>,
+    cell: &ShardCell,
 ) {
     let Shard {
         mut resolver,
@@ -1100,16 +1122,50 @@ fn worker_loop(
     // handed to the owning shard. It exits when the queue disconnects
     // (every sender dropped), which is what makes rescale zero-drop.
     let mut retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)> = None;
-    while let Ok(item) = rx.recv() {
+    loop {
+        // Due refreshes run before the next item is taken, so a queue that
+        // never drains cannot starve them; otherwise the wait for the next
+        // item ends when the earliest refresh falls due.
+        let wait = match resolver.next_refresh_due() {
+            Some(due) => {
+                let now = exchanger.now();
+                if due <= now {
+                    cell.begin(Instant::now());
+                    resolver.run_due_refreshes(exchanger.as_mut());
+                    cell.publish(&resolver.snapshot());
+                    continue;
+                }
+                Some(due.saturating_duration_since(now))
+            }
+            None => None,
+        };
+        let item = match wait {
+            Some(wait) => match rx.recv_timeout(wait) {
+                Ok(item) => item,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            },
+            None => match rx.recv() {
+                Ok(item) => item,
+                Err(_) => break,
+            },
+        };
+        let started = Instant::now();
+        cell.begin(started);
         match item {
             WorkItem::Query { wire, reply } => {
+                let response = serve_wire(&mut resolver, exchanger.as_mut(), &wire);
                 // Histogram recording is two relaxed fetch_adds on this
                 // shard's own cache lines — no lock, no allocation.
-                let started = latency.as_ref().map(|_| Instant::now());
-                let response = serve_wire(&mut resolver, exchanger.as_mut(), &wire);
-                if let (Some(histogram), Some(started)) = (&latency, started) {
+                if let Some(histogram) = &cell.latency {
                     histogram.record(started.elapsed());
                 }
+                if let Some((ring, shards)) = &retired {
+                    forward_entries(&mut resolver, ring, *shards, None);
+                }
+                // Published before the reply leaves: a client holding its
+                // answer always finds its query counted.
+                cell.publish(&resolver.snapshot());
                 match reply {
                     ReplyPath::Udp(peer) => {
                         let bytes = if response.len() > udp_payload_limit {
@@ -1126,20 +1182,12 @@ fn worker_loop(
                         let _ = tx.send(response);
                     }
                 }
-                if let Some((ring, shards)) = &retired {
-                    forward_entries(&mut resolver, ring, *shards, None);
-                }
-            }
-            WorkItem::Pump => {
-                resolver.run_due_refreshes(exchanger.as_mut());
-            }
-            WorkItem::Snapshot(tx) => {
-                let _ = tx.send((index, resolver.snapshot()));
+                continue;
             }
             WorkItem::Probe(tx) => {
                 let _ = tx.send((index, resolver.probe_entries(exchanger.now())));
             }
-            WorkItem::Reconfigure { order, ack } => {
+            WorkItem::Reconfigure(order) => {
                 if let Some(factory) = &order.sources {
                     // An empty per-shard set is rejected by the generator:
                     // the shard keeps its current sources.
@@ -1150,7 +1198,7 @@ fn worker_loop(
                     let _ = resolver.generator_mut().set_config(pool.clone());
                 }
                 resolver.apply_config(order.config.clone(), exchanger.now());
-                ack.store(order.config.epoch(), Ordering::Release);
+                cell.ack(order.config.epoch());
             }
             WorkItem::Rehash {
                 table,
@@ -1172,8 +1220,13 @@ fn worker_loop(
                 retired = Some((table, shards));
                 let _ = done.send(index);
             }
-            WorkItem::Shutdown => break,
+            WorkItem::Shutdown => {
+                // Leaves the cell idle: a finished worker is not wedged.
+                cell.publish(&resolver.snapshot());
+                break;
+            }
         }
+        cell.publish(&resolver.snapshot());
     }
 }
 

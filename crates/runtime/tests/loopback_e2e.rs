@@ -93,12 +93,11 @@ fn udp_clients_get_guaranteed_pools_from_in_process_doh() {
     let active = stats
         .per_shard
         .iter()
-        .flatten()
         .filter(|s| s.serve.queries > 0)
         .count();
     assert!(active > 1, "4 domains served by {active} shard(s)");
     assert_eq!(stats.unresponsive_shards(), 0);
-    for shard in stats.per_shard.iter().flatten() {
+    for shard in &stats.per_shard {
         assert_eq!(shard.serve.queries, shard.cache.hits + shard.cache.misses);
     }
 }
@@ -139,11 +138,10 @@ fn oversized_udp_answers_fall_back_to_tcp() {
 #[test]
 fn background_refresh_runs_off_the_query_path() {
     // Tiny TTL + wide stale window: after the TTL expires, queries are
-    // served stale (TTL 0) immediately while the refresh thread
-    // regenerates in the background.
+    // served stale (TTL 0) immediately while the shard's worker
+    // regenerates in the background once the refresh falls due.
     let (fleet, shards) = build(Vec::new(), Ttl::from_secs(2), Duration::from_secs(3600));
-    let config = RuntimeConfig::default().with_refresh_interval(Duration::from_millis(20));
-    let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
     let domain = fleet.domains[0].clone();
 
@@ -162,7 +160,7 @@ fn background_refresh_runs_off_the_query_path() {
         "stale TTL is zero"
     );
 
-    // Give the refresh thread a few ticks, then expect a fresh hit.
+    // Give the worker time to run the refresh, then expect a fresh hit.
     std::thread::sleep(Duration::from_millis(300));
     let fresh = client
         .query(&Message::query(3, domain.clone(), RrType::A))
@@ -173,10 +171,89 @@ fn background_refresh_runs_off_the_query_path() {
     assert_eq!(stats.total.serve.stale_serves, 1);
     assert!(
         stats.total.serve.refreshes >= 1,
-        "the refresh thread regenerated in the background: {:?}",
+        "the worker regenerated in the background: {:?}",
         stats.total.serve
     );
     assert_eq!(stats.total.serve.queries, 3);
+}
+
+#[test]
+fn refresh_runs_while_hits_keep_the_queue_busy() {
+    // One shard, so the refresh and every query share one queue. One key
+    // sits stale while client threads keep the queue busy with hits on
+    // another key: the refresh must still run before the load stops.
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        pool_domains: 2,
+        ..LoopbackConfig::default()
+    });
+    let shards = fleet
+        .shards(
+            1,
+            PoolConfig::algorithm1(),
+            CacheConfig::default()
+                .with_ttl(Ttl::from_secs(3))
+                .with_stale_window(Duration::from_secs(3600)),
+        )
+        .expect("valid config");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+    let (udp, tcp) = (runtime.udp_addr(), runtime.tcp_addr());
+    let client = RuntimeClient::connect(udp, tcp).expect("client");
+    let (stale, hot) = (fleet.domains[0].clone(), fleet.domains[1].clone());
+
+    client
+        .query(&Message::query(1, stale.clone(), RrType::A))
+        .expect("cold query");
+    std::thread::sleep(Duration::from_millis(1500));
+    client
+        .query(&Message::query(2, hot.clone(), RrType::A))
+        .expect("cold query");
+    // `stale` is now past its 3 s TTL; `hot` stays fresh for ~1.3 s more.
+    std::thread::sleep(Duration::from_millis(1700));
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let loaders: Vec<std::thread::JoinHandle<u64>> = (0..4u16)
+        .map(|thread| {
+            let stop = stop.clone();
+            let hot = hot.clone();
+            std::thread::spawn(move || {
+                let client = RuntimeClient::connect(udp, tcp).expect("client");
+                let mut id = (thread + 1) * 10_000;
+                let mut answered = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    id = id.wrapping_add(1);
+                    let response = client
+                        .query(&Message::query(id, hot.clone(), RrType::A))
+                        .expect("hit answered");
+                    assert!(response.answers.iter().all(|r| r.ttl >= 1), "fresh hit");
+                    answered += 1;
+                }
+                answered
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let served = client
+        .query(&Message::query(3, stale.clone(), RrType::A))
+        .expect("stale query");
+    assert!(served.answers.iter().all(|r| r.ttl == 0), "served stale");
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let mut during_load = runtime.stats();
+    while during_load.total.serve.refreshes == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        during_load = runtime.stats();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let hits: u64 = loaders.into_iter().map(|h| h.join().expect("loader")).sum();
+
+    assert!(
+        during_load.total.serve.refreshes >= 1,
+        "no refresh ran while the queue was busy: {:?}",
+        during_load.total.serve
+    );
+    assert!(hits > 0, "the loaders actually ran");
+    let stats = runtime.shutdown();
+    assert_eq!(stats.total.serve.queries, 3 + hits);
 }
 
 #[test]

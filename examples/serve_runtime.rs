@@ -118,13 +118,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.truncated_responses,
     );
     for (index, shard) in stats.per_shard.iter().enumerate() {
-        match shard {
-            Some(shard) => println!(
-                "  shard {index}: {} queries, {} generations, {} cached entries",
-                shard.serve.queries, shard.serve.generations, shard.entries
-            ),
-            None => println!("  shard {index}: unresponsive (snapshot timed out)"),
-        }
+        println!(
+            "  shard {index}: {} queries, {} generations, {} cached entries",
+            shard.serve.queries, shard.serve.generations, shard.entries
+        );
     }
     println!(
         "  upstream DoH lookups: {} answered, {} failed",
