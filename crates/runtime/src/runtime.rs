@@ -12,7 +12,7 @@
 //!         ┌──────────┼─────────────┐
 //!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐
 //!   │ shard 0  │ │ shard 1  │ │ shard N-1│  each waits on its queue until
-//!   │ resolver │ │ resolver │ │ resolver │  its next refresh is due
+//!   │ resolver │ │ resolver │ │ resolver │  its next refresh batch is due
 //!   └────┬─────┘ └────┬─────┘ └────┬─────┘
 //!        ▼ publish    ▼            ▼
 //!   ┌──────────────────────────────────────┐
@@ -26,8 +26,9 @@
 //! always lands on the same shard and singleflight coalescing keeps
 //! working per shard. A worker runs
 //! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) itself
-//! when [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
-//! passes, off the query path; nothing periodic runs beside the workers.
+//! 50 ms after [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
+//! passes, off the query path, so keys served stale in one burst share one
+//! overlapped generation; nothing periodic runs beside the workers.
 //! After every change of state, and before a reply leaves, a worker
 //! publishes its [`ServeSnapshot`] into its shard's cell. Statistics are
 //! read from the cells: [`PoolRuntime::stats`], a `/metrics` scrape and
@@ -69,6 +70,12 @@ use crate::control::{owner_of, ControlHandle, EpochOrder, RouteState, RouteTable
 /// How long a worker may stay busy on one work item before readers count
 /// its shard unresponsive (and `/healthz` reports the instance unready).
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a worker lets a refresh wait past its due instant, so every
+/// key served stale meanwhile joins one overlapped generation batch (about
+/// one upstream round trip in all) instead of each costing a generation of
+/// its own on the shard's queue.
+const REFRESH_GATHER: Duration = Duration::from_millis(50);
 
 /// Granularity at which the blocking socket loops re-check the shutdown
 /// flag.
@@ -336,9 +343,8 @@ pub(crate) enum ReplyPath {
 }
 
 /// What one shard worker publishes for every other thread to read: its
-/// [`ServeSnapshot`], when it took up its current work item, the config
-/// epoch it last adopted and its serving-latency histogram. The worker is
-/// the only writer. Readers never touch its queue, so a reading never
+/// [`ServeSnapshot`], when it took up its current work item and the config
+/// epoch it last adopted. The worker is the only writer. Readers never touch its queue, so a reading never
 /// waits behind queries or a generation.
 pub(crate) struct ShardCell {
     /// A sequence lock over the snapshot words below: odd while the worker
@@ -359,12 +365,10 @@ pub(crate) struct ShardCell {
     busy_since: AtomicU64,
     acked_epoch: AtomicU64,
     base: Instant,
-    /// `None` when [`RuntimeConfig::record_latency`] is off.
-    latency: Option<Histogram>,
 }
 
 impl ShardCell {
-    fn new(latency: Option<Histogram>) -> ShardCell {
+    fn new() -> ShardCell {
         ShardCell {
             seq: AtomicU64::new(0),
             counters: Default::default(),
@@ -376,7 +380,6 @@ impl ShardCell {
             // Workers implicitly serve under epoch 0 from construction.
             acked_epoch: AtomicU64::new(0),
             base: Instant::now(),
-            latency,
         }
     }
 
@@ -505,11 +508,16 @@ pub(crate) fn spawn_worker(
     let socket = Arc::clone(&ctx.socket);
     let counters = Arc::clone(&ctx.counters);
     let limit = ctx.udp_payload_limit;
-    let cell = Arc::new(ShardCell::new(ctx.latency_for(index)));
+    let latency = ctx.latency_for(index);
+    let cell = Arc::new(ShardCell::new());
     let published = Arc::clone(&cell);
     let handle = std::thread::Builder::new()
         .name(format!("sdoh-shard-{index}"))
-        .spawn(move || worker_loop(index, shard, rx, socket, limit, counters, &published))?;
+        .spawn(move || {
+            worker_loop(
+                index, shard, rx, socket, limit, counters, latency, &published,
+            )
+        })?;
     Ok((handle, cell))
 }
 
@@ -1102,6 +1110,7 @@ fn serve_tcp_connection(
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     index: usize,
     shard: Shard,
@@ -1109,6 +1118,7 @@ fn worker_loop(
     socket: Arc<UdpSocket>,
     udp_payload_limit: usize,
     counters: Arc<FrontCounters>,
+    latency: Option<Histogram>,
     cell: &ShardCell,
 ) {
     let Shard {
@@ -1123,12 +1133,14 @@ fn worker_loop(
     // (every sender dropped), which is what makes rescale zero-drop.
     let mut retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)> = None;
     loop {
-        // Due refreshes run before the next item is taken, so a queue that
-        // never drains cannot starve them; otherwise the wait for the next
-        // item ends when the earliest refresh falls due.
+        // Refreshes run one REFRESH_GATHER after the earliest falls due,
+        // checked before the next item is taken, so a queue that never
+        // drains cannot starve them; otherwise the wait for the next item
+        // ends at that instant.
         let wait = match resolver.next_refresh_due() {
             Some(due) => {
                 let now = exchanger.now();
+                let due = due.saturating_add(REFRESH_GATHER);
                 if due <= now {
                     cell.begin(Instant::now());
                     resolver.run_due_refreshes(exchanger.as_mut());
@@ -1157,11 +1169,8 @@ fn worker_loop(
                 let response = serve_wire(&mut resolver, exchanger.as_mut(), &wire);
                 // Histogram recording is two relaxed fetch_adds on this
                 // shard's own cache lines — no lock, no allocation.
-                if let Some(histogram) = &cell.latency {
+                if let Some(histogram) = &latency {
                     histogram.record(started.elapsed());
-                }
-                if let Some((ring, shards)) = &retired {
-                    forward_entries(&mut resolver, ring, *shards, None);
                 }
                 // Published before the reply leaves: a client holding its
                 // answer always finds its query counted.
@@ -1181,6 +1190,10 @@ fn worker_loop(
                     ReplyPath::Tcp(tx) => {
                         let _ = tx.send(response);
                     }
+                }
+                if let Some((ring, shards)) = &retired {
+                    forward_entries(&mut resolver, ring, *shards, None);
+                    cell.publish(&resolver.snapshot());
                 }
                 continue;
             }

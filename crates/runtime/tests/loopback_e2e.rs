@@ -203,12 +203,12 @@ fn refresh_runs_while_hits_keep_the_queue_busy() {
     client
         .query(&Message::query(1, stale.clone(), RrType::A))
         .expect("cold query");
-    std::thread::sleep(Duration::from_millis(1500));
+    std::thread::sleep(Duration::from_millis(3100));
+    // `stale` is now past its 3 s TTL; `hot`, cached only now, answers
+    // with a TTL of at least 1 s for about 2 s, well past the load below.
     client
         .query(&Message::query(2, hot.clone(), RrType::A))
         .expect("cold query");
-    // `stale` is now past its 3 s TTL; `hot` stays fresh for ~1.3 s more.
-    std::thread::sleep(Duration::from_millis(1700));
 
     let stop = Arc::new(AtomicBool::new(false));
     let loaders: Vec<std::thread::JoinHandle<u64>> = (0..4u16)
@@ -254,6 +254,75 @@ fn refresh_runs_while_hits_keep_the_queue_busy() {
     assert!(hits > 0, "the loaders actually ran");
     let stats = runtime.shutdown();
     assert_eq!(stats.total.serve.queries, 3 + hits);
+    assert_eq!(stats.total.serve.stale_serves, 1, "only `stale` went stale");
+}
+
+#[test]
+fn keys_served_stale_together_refresh_in_one_batch() {
+    // One shard and a 500 ms upstream. Two keys served stale back to back
+    // must be regenerated in one overlapped batch, about one round trip in
+    // all, not in two generations run one after the other.
+    const UPSTREAM: Duration = Duration::from_millis(500);
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        pool_domains: 2,
+        upstream_latency: UPSTREAM,
+        ..LoopbackConfig::default()
+    });
+    let shards = fleet
+        .shards(
+            1,
+            PoolConfig::algorithm1(),
+            CacheConfig::default()
+                .with_ttl(Ttl::from_secs(1))
+                .with_stale_window(Duration::from_secs(3600)),
+        )
+        .expect("valid config");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr())
+        .expect("client")
+        .with_timeout(Duration::from_secs(5))
+        .expect("timeout");
+    for (id, domain) in (1..).zip(&fleet.domains) {
+        client
+            .query(&Message::query(id, domain.clone(), RrType::A))
+            .expect("cold query");
+    }
+    std::thread::sleep(Duration::from_millis(1100)); // past both 1 s TTLs
+    let before = runtime.stats().total.serve;
+    assert_eq!(before.generations, 2);
+
+    // Both stale queries leave before either answer comes back.
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    for (id, domain) in (10..).zip(&fleet.domains) {
+        let wire = Message::query(id, domain.clone(), RrType::A)
+            .encode()
+            .expect("encode");
+        socket.send_to(&wire, runtime.udp_addr()).expect("send");
+    }
+    let mut buf = [0u8; 4096];
+    for _ in &fleet.domains {
+        let len = socket.recv(&mut buf).expect("stale answer");
+        let response = Message::decode(&buf[..len]).expect("decode");
+        assert!(response.answers.iter().all(|r| r.ttl == 0), "served stale");
+    }
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut after = runtime.stats().total.serve;
+    while after.refreshes < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        after = runtime.stats().total.serve;
+    }
+    assert_eq!(after.stale_serves, 2);
+    assert_eq!(after.refreshes, 2, "both keys refreshed: {after:?}");
+    let spent = after.total_generation_latency - before.total_generation_latency;
+    assert!(
+        spent < UPSTREAM * 9 / 5,
+        "two refreshes took {spent:?} of generation time; one overlapped batch takes about {UPSTREAM:?}"
+    );
+    runtime.shutdown();
 }
 
 #[test]
