@@ -118,6 +118,7 @@ pub(crate) struct EpochOrder {
 
 /// The live routing table: one sender plus the cell its worker publishes
 /// into per shard, in shard order.
+#[derive(Default)]
 pub(crate) struct RouteTable {
     pub(crate) senders: Vec<mpsc::Sender<WorkItem>>,
     pub(crate) cells: Vec<Arc<ShardCell>>,

@@ -71,10 +71,9 @@ use crate::control::{owner_of, ControlHandle, EpochOrder, RouteState, RouteTable
 /// its shard unresponsive (and `/healthz` reports the instance unready).
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// How long a worker lets a refresh wait past its due instant, so every
-/// key served stale meanwhile joins one overlapped generation batch (about
-/// one upstream round trip in all) instead of each costing a generation of
-/// its own on the shard's queue.
+/// How long a worker lets a refresh wait past its due instant, so every key
+/// served stale meanwhile joins one overlapped generation batch instead of
+/// each blocking the shard's queue for a round trip of its own.
 const REFRESH_GATHER: Duration = Duration::from_millis(50);
 
 /// Granularity at which the blocking socket loops re-check the shutdown
@@ -627,21 +626,16 @@ impl PoolRuntime {
                         value: SampleValue::Gauge(v),
                     };
                 let mut samples = snapshot_samples(&total, &[]);
-                samples.push(gauge(
-                    sdoh_core::METRIC_SHARDS,
-                    Vec::new(),
-                    cells.len() as f64,
-                ));
-                samples.push(gauge(
-                    sdoh_core::METRIC_UNRESPONSIVE_SHARDS,
-                    Vec::new(),
-                    unresponsive as f64,
-                ));
-                samples.push(gauge(
-                    sdoh_core::METRIC_CONFIG_EPOCH,
-                    Vec::new(),
-                    epoch.load(Ordering::Acquire) as f64,
-                ));
+                for (metric, value) in [
+                    (sdoh_core::METRIC_SHARDS, cells.len() as f64),
+                    (sdoh_core::METRIC_UNRESPONSIVE_SHARDS, unresponsive as f64),
+                    (
+                        sdoh_core::METRIC_CONFIG_EPOCH,
+                        epoch.load(Ordering::Acquire) as f64,
+                    ),
+                ] {
+                    samples.push(gauge(metric, Vec::new(), value));
+                }
                 for (index, cell) in cells.iter().enumerate() {
                     samples.push(gauge(
                         sdoh_core::METRIC_SHARD_ACKED_EPOCH,
@@ -781,16 +775,8 @@ impl PoolRuntime {
         //    disconnects any retired workers still lingering from a shrink
         //    (their exit signal), even while the user holds ControlHandle
         //    clones.
-        let RouteTable { senders, cells } = {
-            let mut table = self.control.inner.routes.table.lock();
-            std::mem::replace(
-                &mut *table,
-                RouteTable {
-                    senders: Vec::new(),
-                    cells: Vec::new(),
-                },
-            )
-        };
+        let RouteTable { senders, cells } =
+            std::mem::take(&mut *self.control.inner.routes.table.lock());
         self.control
             .inner
             .routes
